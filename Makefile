@@ -10,9 +10,9 @@ BENCH_BASE ?= BENCH_pr9.json
 # snapshots losing more than this percent of throughput fails the build.
 MAX_LOSS ?= 10
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-delta bench-regression fuzz-smoke cover-net staticcheck profile soak soak-smoke fct-smoke
+.PHONY: check fmt vet build test race bench bench-smoke bench-delta bench-regression bench-e2e bench-e2e-smoke fuzz-smoke cover-net staticcheck profile soak soak-smoke fct-smoke
 
-check: fmt vet staticcheck build test race fuzz-smoke soak-smoke fct-smoke cover-net
+check: fmt vet staticcheck build test race fuzz-smoke soak-smoke fct-smoke cover-net bench-e2e-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -93,6 +93,18 @@ bench-delta:
 # against the committed snapshots.
 bench-regression:
 	$(GO) run ./cmd/benchjson -delta -maxloss $(MAX_LOSS) $(BENCH_BASE) $(BENCH_OUT)
+
+# bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/): five
+# workloads, the gated end-to-end metrics, ~3 minutes; call bench/run.sh
+# directly to pick a workload, a seed or a traced run.
+bench-e2e:
+	bash bench/run.sh
+
+# bench-e2e-smoke runs every benchmark workload at 1/100 scale with all
+# its correctness checks (~35 s). bench/ is a module of its own that the
+# root module's `go test ./...` does not see; this keeps it from rotting.
+bench-e2e-smoke:
+	$(GO) test -C bench ./...
 
 # soak runs the full chaos soak: 1000 seeded random gray-failure
 # schedules (reorder, duplication, flaps, restarts, crashes, corruption)

@@ -291,10 +291,7 @@ func (n *Network) applyFault(ev *FaultEvent) {
 		n.freezePort(l, true)
 		// Packets in flight when the link died are destroyed.
 		for l.n > 0 {
-			f := l.ring[l.head]
-			l.ring[l.head] = inflight{}
-			l.head = (l.head + 1) % len(l.ring)
-			l.n--
+			f := n.pop(l)
 			n.blackhole(l, f.h, f.size)
 		}
 	case FaultLinkUp:
@@ -376,7 +373,17 @@ func (n *Network) ensureRNG(l *link, ev *FaultEvent) {
 // tables, CONGA best-path tables) starts over and must re-converge from
 // packets alone.
 func (n *Network) restartSwitch(w *netSwitch, ev *FaultEvent) {
-	w.sw.FlushQueues(nil)
+	w.syncTo(n.now - 1) // the flush happens on the switch's clock
+	pkts, bytes := w.sw.FlushQueues(nil)
+	n.queuedPkts -= pkts
+	n.queuedBytes -= bytes
+	n.droppedPkts += pkts
+	n.droppedBytes += bytes
+	// A flushed head packet may leave store-and-forward credit on its
+	// port; the next service pass retires it, so the switch stays in (or
+	// joins) the service set for that pass even though it is empty.
+	n.active.add(w.idx)
+	n.touched(w)
 	m := w.sw.Machine()
 	if ev.Scramble {
 		m.ScrambleState(n.faultSeed ^ int64(ev.Node)*0x9e3779b9 ^ n.now<<24)

@@ -110,10 +110,17 @@ func TestFaultRunDeterminism(t *testing.T) {
 // topology with a core link — for the targeted edge-case tests. Packets
 // from host 0 to host 1 cross leaf0→spine0→leaf1→host.
 func buildTinyFabric(t *testing.T) *LeafSpine {
-	t.Helper()
-	c := ExperimentConfig{Routing: "flowlet_route", Leaves: 2, Spines: 1, HostsPerLeaf: 1,
+	return buildTiny(t, tinyFabricConfig())
+}
+
+func tinyFabricConfig() ExperimentConfig {
+	return ExperimentConfig{Routing: "flowlet_route", Leaves: 2, Spines: 1, HostsPerLeaf: 1,
 		// Slow, long links keep packets in flight and queued at fault time.
 		UplinkBytesPerTick: 1500, DownlinkBytesPerTick: 1500, LinkDelay: 5}
+}
+
+func buildTiny(t *testing.T, c ExperimentConfig) *LeafSpine {
+	t.Helper()
 	ls, _, err := c.Build()
 	if err != nil {
 		t.Fatal(err)

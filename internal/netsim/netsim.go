@@ -34,6 +34,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"strings"
 
@@ -129,6 +130,7 @@ type fieldSlots struct {
 
 type netSwitch struct {
 	id    NodeID
+	idx   int32 // position in Network.switches: this switch's bit in a swSet
 	name  string
 	sw    *switchsim.Switch
 	prog  *codegen.Program
@@ -156,21 +158,49 @@ type netSwitch struct {
 	// makes the local clock a pure function of fabric time and fault
 	// history — identical whether the driver stepped or skipped the idle
 	// ticks in between.
+	//
+	// The switch's own clock is synced lazily (syncTo): before every
+	// enqueue, flush, freeze and external read, and by TickAt on service —
+	// never in a loop over idle switches.
 	frozenAt int64
 	lag      int64
 }
 
+// frozen reports whether a fault has the switch stalled or crashed.
+func (w *netSwitch) frozen() bool { return w.stalled || w.crashed }
+
+// syncTo brings a running switch's clock to what it reads once fabric
+// tick t has been serviced: t minus the frozen-time lag. A frozen switch
+// keeps the clock noteFreeze left it; AdvanceTo never rewinds.
+func (w *netSwitch) syncTo(t int64) {
+	if !w.frozen() {
+		w.sw.AdvanceTo(t - w.lag)
+	}
+}
+
 // noteFreeze updates the frozen-time bookkeeping after any mutation of
-// stalled/crashed; now is the fabric tick the mutation happened at.
+// stalled/crashed; now is the fabric tick the mutation happened at. A
+// freeze first syncs the clock to the last tick the switch was running
+// (now-1): a switch idle since long before the fault must stamp arrivals
+// landing during the freeze with the freeze's time, not its last packet's.
 func (w *netSwitch) noteFreeze(now int64) {
-	frozen := w.stalled || w.crashed
+	frozen := w.frozen()
 	if frozen && w.frozenAt < 0 {
+		w.sw.AdvanceTo(now - 1 - w.lag)
 		w.frozenAt = now
 	} else if !frozen && w.frozenAt >= 0 {
 		w.lag += now - w.frozenAt
 		w.frozenAt = -1
 	}
 }
+
+// swSet is a set of switches: a bitmap over Network.switches indices, so
+// iterating it visits members in switch-creation order.
+type swSet []uint64
+
+func (s swSet) add(i int32)      { s[i>>6] |= 1 << (uint(i) & 63) }
+func (s swSet) del(i int32)      { s[i>>6] &^= 1 << (uint(i) & 63) }
+func (s swSet) has(i int32) bool { return s[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // Host is an end host: a traffic source (its packets enter its leaf
 // switch) and a sink (departures on its access link are delivered here).
@@ -302,6 +332,29 @@ type Network struct {
 	now      int64
 	ready    bool
 
+	// active is the service set: the switches step() runs a service pass
+	// on and nextEventTick asks for their next event. A switch joins when
+	// a packet is enqueued into it and leaves after a pass that empties
+	// it, so at every step boundary a running switch is a member iff it
+	// holds packets. One exception joins empty: a restarted switch, for
+	// the one pass that retires any store-and-forward credit its flushed
+	// head packet had accrued. Servicing an empty member is what the
+	// all-switch loop did to every switch; missing a non-empty one is the
+	// forbidden direction, and CheckConservation checks it.
+	active swSet
+	// dirty is the switches whose queue depths or state arrays changed
+	// this step and whose program declares queue_depth; the step's depth
+	// pass publishes these and empties the set.
+	dirty swSet
+
+	// Running conservation terms, updated where packets move (enqueue,
+	// tail drop, dequeue, flush, link push/pop): what the watchdog and
+	// idle() read each step. Totals() re-sums the same terms from the
+	// switches and link rings and CheckConservation compares the two.
+	queuedPkts, queuedBytes     int64
+	droppedPkts, droppedBytes   int64
+	inFlightPkts, inFlightBytes int64
+
 	// wheel is the link-delivery calendar: a timing wheel of per-tick
 	// buckets (wheel[t % len(wheel)] lists the links with a delivery
 	// wakeup at tick t), sized at Start to the longest link delay + 1 so
@@ -392,6 +445,11 @@ type Network struct {
 	ecnC      *telemetry.Counter   // delivered data packets carrying an ECN mark
 	ecnMarked int64
 	pathPkts  map[int32]int64
+
+	// Simulator self-telemetry: the work the step loop itself did.
+	servicesC   *telemetry.Counter // switch service passes (TickAt calls)
+	deliveriesC *telemetry.Counter // link visits that delivered packets
+	ghostsC     *telemetry.Counter // calendar wakeups that found nothing due
 }
 
 // New creates an empty network.
@@ -440,6 +498,7 @@ func (n *Network) AddSwitch(name string, prog *codegen.Program, cfg switchsim.Co
 	l := sw.Machine().Layout()
 	w := &netSwitch{
 		id:       NodeID(len(n.nodes)),
+		idx:      int32(len(n.switches)),
 		name:     name,
 		sw:       sw,
 		prog:     prog,
@@ -470,6 +529,10 @@ func (n *Network) AddSwitch(name string, prog *codegen.Program, cfg switchsim.Co
 	// refuses when the program declares no switch_id.
 	sw.Machine().PokeState(algorithms.INTSwitchIDState, 0, int32(w.id))
 	n.switches = append(n.switches, w)
+	if len(n.switches) > 64*len(n.active) {
+		n.active = append(n.active, 0)
+		n.dirty = append(n.dirty, 0)
+	}
 	n.nodes = append(n.nodes, &node{name: name, sw: w})
 	return w.id, nil
 }
@@ -727,29 +790,21 @@ func (n *Network) Steps() int64 { return n.steps }
 // publication. Same-tick deliveries pop from the calendar in (tick,
 // link-creation-index) order — exactly the order the old
 // poll-every-link loop visited them — so the two drivers are
-// byte-identical.
+// byte-identical. Every phase costs what holds a packet, not what the
+// fabric contains: due links, the active switches, the dirty depths.
 func (n *Network) step() {
 	n.now++
 	n.steps++
 	n.applyFaults()
-	for _, w := range n.switches {
-		if w.stalled || w.crashed {
-			continue
-		}
-		// Sync each running switch's clock to the fabric before deliveries
-		// land: an arrival enqueued at fabric tick T must stamp the same
-		// Arrived the polled core stamped, which is T-1 minus the switch's
-		// frozen-time lag (service, which advances the clock to T, came
-		// after deliveries there too).
-		w.sw.AdvanceTo(n.now - 1 - w.lag)
-	}
 	// Deliveries: two interchangeable strategies over the same wheel
 	// state, both visiting due links in link-creation order — so the
 	// choice is pure cost, never behavior. A dense tick (most links due)
 	// takes the poll-every-link scan, which is exactly the pre-event-core
 	// loop and keeps per-tick harness drivers at their old cost; a sparse
 	// tick (the event core's bread and butter: a handful of links due in
-	// a big, mostly idle fabric) touches only its bucket.
+	// a big, mostly idle fabric) touches only its bucket. The scan earns
+	// its keep: with the bucket path alone the busy-every-tick leaf-spine
+	// benchmark loses 3.4% (the bucket's sort over ~100 due links).
 	bidx := n.now & n.wheelMask
 	if b := n.wheel[bidx]; 4*len(b) >= len(n.links) {
 		for _, l := range n.links {
@@ -758,6 +813,7 @@ func (n *Network) step() {
 			}
 			if l.n > 0 {
 				if l.ring[l.head].at <= n.now {
+					n.deliveriesC.Inc()
 					l.deliver(n)
 				}
 				// Keep the armed-while-loaded invariant a later sparse
@@ -785,7 +841,12 @@ func (n *Network) step() {
 			if l.calAt == n.now {
 				l.calAt = -1
 			}
-			l.deliver(n)
+			if l.n > 0 && l.ring[l.head].at <= n.now {
+				n.deliveriesC.Inc()
+				l.deliver(n)
+			} else {
+				n.ghostsC.Inc() // superseded entry: its packets were blackholed
+			}
 			if l.n > 0 {
 				n.armLink(l, l.ring[l.head].at)
 			}
@@ -804,14 +865,34 @@ func (n *Network) step() {
 			n.traceNext++
 		}
 	}
-	for _, w := range n.switches {
-		if w.stalled || w.crashed {
-			continue // frozen: queues hold, no service budget accrues
+	// Service emits onto links only, so the set gains no member while it
+	// is walked; a serviced switch that ends empty leaves it.
+	for wi, word := range n.active {
+		for ; word != 0; word &= word - 1 {
+			w := n.switches[wi<<6|bits.TrailingZeros64(word)]
+			if w.frozen() {
+				continue // queues hold, no service budget accrues
+			}
+			n.servicesC.Inc()
+			w.sw.TickAt(n.now-w.lag, w.emit)
+			if w.sw.QueuedPkts() == 0 {
+				n.active.del(w.idx)
+			}
 		}
-		w.sw.TickAt(n.now-w.lag, w.emit)
 	}
-	for _, w := range n.switches {
-		w.publishQueueDepths()
+	for wi, word := range n.dirty {
+		for ; word != 0; word &= word - 1 {
+			n.switches[wi<<6|bits.TrailingZeros64(word)].publishQueueDepths()
+		}
+		n.dirty[wi] = 0
+	}
+}
+
+// touched notes that w's queue depths (or the state arrays holding their
+// published copy) changed this step.
+func (n *Network) touched(w *netSwitch) {
+	if w.qdPorts > 0 {
+		n.dirty.add(w.idx)
 	}
 }
 
@@ -847,19 +928,22 @@ func (n *Network) nextEventTick() int64 {
 			ne = t
 		}
 	}
-	for _, w := range n.switches {
-		if w.sw.QueuedPkts() == 0 {
-			continue
-		}
-		if w.stalled || w.crashed {
-			return n.now + 1
-		}
-		if et := w.sw.NextEventTick(n.now - w.lag); et >= 0 {
-			t := et + w.lag // switch clock → fabric clock
-			if t <= n.now+1 {
+	for wi, word := range n.active {
+		for ; word != 0; word &= word - 1 {
+			w := n.switches[wi<<6|bits.TrailingZeros64(word)]
+			if w.sw.QueuedPkts() == 0 {
+				continue // restarted while frozen: empty until it thaws
+			}
+			if w.frozen() {
 				return n.now + 1
 			}
-			m(t)
+			if et := w.sw.NextEventTick(n.now - w.lag); et >= 0 {
+				t := et + w.lag // switch clock → fabric clock
+				if t <= n.now+1 {
+					return n.now + 1
+				}
+				m(t)
+			}
 		}
 	}
 	// Wheel entries are confined to (now, now+len(wheel)-1], so the first
@@ -901,7 +985,8 @@ func (n *Network) nextEventTick() int64 {
 // RTT-free hop behind reality like a real egress-queue sample would be.
 // This is the single feed for every depth consumer — the ECN marking
 // comparison and the INT qmax/qdelay stamps read the same array, so the
-// two signals cannot drift.
+// two signals cannot drift. Only switches in the dirty set are
+// republished: an untouched switch's array already holds its depths.
 func (w *netSwitch) publishQueueDepths() {
 	for p := 0; p < w.qdPorts; p++ {
 		d := w.sw.PortQueueBytes(p)
@@ -937,7 +1022,7 @@ func (n *Network) watch(w *watchdog) error {
 	if limit <= 0 {
 		limit = defaultWatchdogTicks
 	}
-	t := n.Totals()
+	t := n.runningTotals()
 	pendingWork := t.QueuedPkts > 0 || t.InFlightPkts > 0
 	pendingEvents := (n.trace != nil && n.traceNext < len(n.trace.Packets)) ||
 		n.faultNext < len(n.faultEvents) ||
@@ -961,11 +1046,11 @@ func (n *Network) watch(w *watchdog) error {
 func (n *Network) queueReport() string {
 	var b strings.Builder
 	for _, w := range n.switches {
-		tot := w.sw.Totals()
-		if tot.QueuedPkts > 0 {
+		if w.sw.QueuedPkts() > 0 {
 			if b.Len() > 0 {
 				b.WriteString(", ")
 			}
+			tot := w.sw.Totals()
 			fmt.Fprintf(&b, "%s: %d pkts/%d bytes", w.name, tot.QueuedPkts, tot.QueuedBytes)
 		}
 	}
@@ -1058,17 +1143,7 @@ func (n *Network) idle() bool {
 	} else if n.trace != nil && n.traceNext < len(n.trace.Packets) {
 		return false
 	}
-	for _, l := range n.links {
-		if l.n > 0 {
-			return false
-		}
-	}
-	for _, w := range n.switches {
-		if t := w.sw.Totals(); t.QueuedPkts > 0 {
-			return false
-		}
-	}
-	return true
+	return n.queuedPkts == 0 && n.inFlightPkts == 0
 }
 
 // stamp writes v into slot s of h when the program declares the field.
@@ -1108,13 +1183,11 @@ func (n *Network) InjectNow(p *workload.NetPacket) error {
 	if int(p.Src) < 0 || int(p.Src) >= len(n.traceHost) {
 		return fmt.Errorf("netsim: InjectNow: source host %d not mapped (call MapHosts)", p.Src)
 	}
-	// An out-of-band injection lands at the current tick: sync the leaf's
-	// clock to the fabric (a no-op under per-tick stepping, where service
-	// already advanced it) so the Arrived stamp matches the polled core
-	// even after Run/Drain skipped trailing idle ticks.
-	if w := n.traceHost[p.Src].leaf; !w.stalled && !w.crashed {
-		w.sw.AdvanceTo(n.now - w.lag)
-	}
+	// An out-of-band injection lands after the current tick's service,
+	// not before it like an in-step arrival: sync the leaf's clock to the
+	// serviced tick so the Arrived stamp is the same whether the driver
+	// stepped or skipped the idle ticks leading here.
+	n.traceHost[p.Src].leaf.syncTo(n.now)
 	n.injectTrace(p)
 	return nil
 }
@@ -1142,17 +1215,40 @@ func (n *Network) inject(w *netSwitch, h banzai.Header, size int64) {
 		n.blackholedBytes += size
 		return
 	}
-	if _, _, err := w.sw.InjectH(h, size); err != nil {
+	n.enqueue(w, h, size)
+}
+
+// enqueue runs a header through w's pipeline into an output queue — the
+// one door into a switch, for host injections and forwarded packets
+// alike. An arrival of step T lands before T's service, so the clock it
+// is stamped by is T-1's; a queued packet puts the switch in the service
+// set, a tail drop goes straight to the dropped terms.
+func (n *Network) enqueue(w *netSwitch, h banzai.Header, size int64) {
+	w.syncTo(n.now - 1)
+	_, dropped, err := w.sw.InjectH(h, size)
+	if err != nil {
 		// The pipeline programs netsim drives are guard-free and sizes
 		// are validated by the trace generators, so a rejection here is a
 		// harness bug, not a data-plane event.
-		panic(fmt.Sprintf("netsim: inject into %q: %v", w.name, err))
+		panic(fmt.Sprintf("netsim: enqueue into %q: %v", w.name, err))
 	}
+	if dropped {
+		n.droppedPkts++
+		n.droppedBytes += size
+		return
+	}
+	n.queuedPkts++
+	n.queuedBytes += size
+	n.active.add(w.idx)
+	n.touched(w)
 }
 
 // transmit is the TickFunc sink: a packet departing switch w on port p
 // enters the bound link.
 func (n *Network) transmit(w *netSwitch, p int, qh switchsim.QueuedHeader) {
+	n.queuedPkts--
+	n.queuedBytes -= qh.Size
+	n.touched(w)
 	l := w.links[p]
 	h := qh.H
 	if l.to.sw != nil {
@@ -1205,6 +1301,8 @@ func (n *Network) transmit(w *netSwitch, p int, qh switchsim.QueuedHeader) {
 	l.pkts++
 	l.bytes += qh.Size
 	l.push(inflight{at: n.now + l.delay, h: h, size: qh.Size})
+	n.inFlightPkts++
+	n.inFlightBytes += qh.Size
 	n.armLink(l, n.now+l.delay)
 	if l.dup != 0 && uint64(l.rng.Uint32()) < l.dup {
 		// The wire materializes a byte-exact second copy: a fresh header
@@ -1216,6 +1314,8 @@ func (n *Network) transmit(w *netSwitch, p int, qh switchsim.QueuedHeader) {
 		l.pkts++
 		l.bytes += qh.Size
 		l.push(inflight{at: n.now + l.delay, h: dh, size: qh.Size})
+		n.inFlightPkts++
+		n.inFlightBytes += qh.Size
 		n.dupInjPkts++
 		n.dupInjBytes += qh.Size
 	}
@@ -1259,16 +1359,25 @@ func (l *link) push(f inflight) {
 	l.n++
 }
 
+// pop takes l's oldest in-flight packet off the link (transmit, the only
+// pusher, counts its own packets into the running in-flight terms).
+func (n *Network) pop(l *link) inflight {
+	f := l.ring[l.head]
+	l.ring[l.head] = inflight{}
+	l.head = (l.head + 1) % len(l.ring)
+	l.n--
+	n.inFlightPkts--
+	n.inFlightBytes -= f.size
+	return f
+}
+
 // deliver hands every due in-flight packet to the link's far end: a
 // crashed destination switch blackholes it; a corrupting link may
 // scramble header slots, after which the arrival-edge guard either drops
 // the packet (CorruptDropped) or lets a still-plausible header proceed.
 func (l *link) deliver(n *Network) {
 	for l.n > 0 && l.ring[l.head].at <= n.now {
-		f := l.ring[l.head]
-		l.ring[l.head] = inflight{}
-		l.head = (l.head + 1) % len(l.ring)
-		l.n--
+		f := n.pop(l)
 		if l.to.sw != nil && l.to.sw.crashed {
 			n.blackhole(l, f.h, f.size)
 			continue
@@ -1283,7 +1392,8 @@ func (l *link) deliver(n *Network) {
 			}
 		}
 		if l.to.sw != nil {
-			n.inject2(l.to.sw, f.h, f.size)
+			// Forwarded, not injected: its host counted it at the source.
+			n.enqueue(l.to.sw, f.h, f.size)
 		} else {
 			l.to.host.sink(l, f.h, f.size)
 		}
@@ -1355,14 +1465,6 @@ func (l *link) ownerMachine() *banzai.Machine {
 		return l.to.sw.sw.Machine()
 	}
 	return l.from.sw.Machine()
-}
-
-// inject2 is inject without the injected counters: a forwarded packet was
-// already counted when its host sourced it.
-func (n *Network) inject2(w *netSwitch, h banzai.Header, size int64) {
-	if _, _, err := w.sw.InjectH(h, size); err != nil {
-		panic(fmt.Sprintf("netsim: forward into %q: %v", w.name, err))
-	}
 }
 
 // sink consumes a delivered packet at a host: counts it, records flow
@@ -1559,11 +1661,15 @@ type NetTotals struct {
 	EcnMarkedPkts int64
 }
 
-// Totals sums the conservation terms over every switch and link.
-func (n *Network) Totals() NetTotals {
-	t := NetTotals{
+// runningTotals is the conservation terms as the network counted them
+// while packets moved — O(1), what the step loop's watchdog reads.
+func (n *Network) runningTotals() NetTotals {
+	return NetTotals{
 		InjectedPkts: n.injectedPkts, InjectedBytes: n.injectedBytes,
 		DeliveredPkts: n.deliveredPkts, DeliveredBytes: n.deliveredBytes,
+		DroppedPkts: n.droppedPkts, DroppedBytes: n.droppedBytes,
+		QueuedPkts: n.queuedPkts, QueuedBytes: n.queuedBytes,
+		InFlightPkts: n.inFlightPkts, InFlightBytes: n.inFlightBytes,
 		BlackholedPkts: n.blackholedPkts, BlackholedBytes: n.blackholedBytes,
 		CorruptDroppedPkts: n.corruptPkts, CorruptDroppedBytes: n.corruptBytes,
 		AcceptedPkts: n.acceptedPkts, AcceptedBytes: n.acceptedBytes,
@@ -1573,6 +1679,18 @@ func (n *Network) Totals() NetTotals {
 		DupInjectedPkts: n.dupInjPkts, DupInjectedBytes: n.dupInjBytes,
 		EcnMarkedPkts: n.ecnMarked,
 	}
+}
+
+// Totals sums the conservation terms over every switch and link. The
+// dropped, queued and in-flight terms are re-derived from the switches'
+// port statistics and the link rings, packet by packet, on purpose: this
+// is the oracle CheckConservation holds runningTotals against, so it
+// must not share the running counters' bookkeeping.
+func (n *Network) Totals() NetTotals {
+	t := n.runningTotals()
+	t.DroppedPkts, t.DroppedBytes = 0, 0
+	t.QueuedPkts, t.QueuedBytes = 0, 0
+	t.InFlightPkts, t.InFlightBytes = 0, 0
 	for _, w := range n.switches {
 		st := w.sw.Totals()
 		t.DroppedPkts += st.DroppedPkts
@@ -1594,13 +1712,22 @@ func (n *Network) Totals() NetTotals {
 // still queued in a switch, in flight on a link, blackholed by a fault,
 // or rejected by the corruption guard — plus each switch's local
 // identity. It holds at every tick boundary, under any fault schedule.
+// It also audits the step loop's own bookkeeping against that ground
+// truth: the running totals must equal the from-scratch sum, and every
+// switch holding packets must be in the service set.
 func (n *Network) CheckConservation() error {
 	for _, w := range n.switches {
 		if err := w.sw.CheckConservation(); err != nil {
 			return fmt.Errorf("switch %q: %w", w.name, err)
 		}
+		if q := w.sw.QueuedPkts(); q > 0 && !n.active.has(w.idx) {
+			return fmt.Errorf("switch %q holds %d packets but is not in the service set", w.name, q)
+		}
 	}
 	t := n.Totals()
+	if rt := n.runningTotals(); rt != t {
+		return fmt.Errorf("netsim running totals drifted from the from-scratch sum: running %+v, summed %+v", rt, t)
+	}
 	if got := t.DeliveredPkts + t.DroppedPkts + t.QueuedPkts + t.InFlightPkts + t.BlackholedPkts + t.CorruptDroppedPkts; got != t.InjectedPkts+t.DupInjectedPkts {
 		return fmt.Errorf("netsim packet conservation violated: injected %d + dup-injected %d != delivered %d + dropped %d + queued %d + in-flight %d + blackholed %d + corrupt-dropped %d (= %d)",
 			t.InjectedPkts, t.DupInjectedPkts, t.DeliveredPkts, t.DroppedPkts, t.QueuedPkts, t.InFlightPkts, t.BlackholedPkts, t.CorruptDroppedPkts, got)
@@ -1670,20 +1797,23 @@ func (n *Network) LinkStats() []LinkStats {
 
 // SwitchStats returns a switch's per-port statistics.
 func (n *Network) SwitchStats(id NodeID) ([]switchsim.PortStats, error) {
-	w, err := n.switchAt(id)
+	sw, err := n.Switch(id)
 	if err != nil {
 		return nil, err
 	}
-	return w.sw.Stats(), nil
+	return sw.Stats(), nil
 }
 
 // Switch exposes the underlying switchsim instance (state inspection,
-// conservation checks in tests).
+// conservation checks in tests), for use between steps. Its clock is
+// synced to the fabric's first, so Now() never shows how long the switch
+// has sat idle.
 func (n *Network) Switch(id NodeID) (*switchsim.Switch, error) {
 	w, err := n.switchAt(id)
 	if err != nil {
 		return nil, err
 	}
+	w.syncTo(n.now)
 	return w.sw, nil
 }
 

@@ -27,6 +27,13 @@ import (
 //	int.hops                    INT hop counts of delivered data
 //	int.qmax_bytes              INT max queue depth along the path
 //	int.qdelay_bytes            INT summed queue depth along the path
+//
+// and the simulator's own work counters, which are what an O(active)
+// step loop is held to:
+//
+//	sim.switch_services         switch service passes run
+//	sim.link_deliveries         link visits that delivered packets
+//	sim.ghost_wakeups           calendar wakeups that found nothing due
 func (n *Network) SetTelemetry(sink telemetry.Sink, ring *telemetry.Ring) error {
 	if len(n.switches) > 0 {
 		return errTelemetryLate
@@ -41,6 +48,9 @@ func (n *Network) SetTelemetry(sink telemetry.Sink, ring *telemetry.Ring) error 
 		n.qmaxH = telemetry.GetHistogram(sink, "int.qmax_bytes")
 		n.qdelayH = telemetry.GetHistogram(sink, "int.qdelay_bytes")
 		n.ecnC = telemetry.GetCounter(sink, "net.ecn_marked_pkts")
+		n.servicesC = telemetry.GetCounter(sink, "sim.switch_services")
+		n.deliveriesC = telemetry.GetCounter(sink, "sim.link_deliveries")
+		n.ghostsC = telemetry.GetCounter(sink, "sim.ghost_wakeups")
 		n.pathPkts = make(map[int32]int64)
 	}
 	return nil

@@ -54,7 +54,11 @@ func (t Totals) CheckConservation() error {
 // still queued. Call it at any quiescent point — mid-run (between Tick
 // and the next Inject) or after Drain.
 func (s *Switch) CheckConservation() error {
-	return s.Totals().CheckConservation()
+	t := s.Totals()
+	if s.queued != t.QueuedPkts {
+		return fmt.Errorf("queued-packet counter %d differs from the %d packets the port schedulers hold", s.queued, t.QueuedPkts)
+	}
+	return t.CheckConservation()
 }
 
 // Add accumulates another Totals into t (for summing switches network-wide).

@@ -208,6 +208,10 @@ type Switch struct {
 	now       int64
 	seq       int64
 	rr        int
+	// queued is the packets currently held across all port queues,
+	// maintained at enqueue, dequeue and flush so QueuedPkts is O(1);
+	// Totals re-sums the schedulers' Len() and CheckConservation compares.
+	queued int64
 	// injected counts packets/bytes accepted by Inject/InjectH (enqueued
 	// or byte-cap dropped; pipeline errors and size rejections excluded) —
 	// the left side of the conservation identity.
@@ -403,6 +407,7 @@ func (s *Switch) enqueue(h banzai.Header, size int64) (port int, dropped bool) {
 	}
 	s.seq++
 	s.queues[port].Enqueue(QueuedHeader{H: h, Size: size, Arrived: s.now, Seq: s.seq})
+	s.queued++
 	st.Enqueues++
 	st.Bytes += size
 	st.QueueBytes += size
@@ -492,6 +497,7 @@ func (s *Switch) TickAt(now int64, emit func(port int, qh QueuedHeader)) {
 				break
 			}
 			qh, _ := q.Dequeue(s.now)
+			s.queued--
 			budget -= qh.Size
 			st := &s.stats[p]
 			st.QueueBytes -= qh.Size
@@ -544,6 +550,7 @@ func (s *Switch) FlushQueues(emit func(port int, qh QueuedHeader)) (pkts, bytes 
 			if !ok {
 				break
 			}
+			s.queued--
 			st := &s.stats[p]
 			st.QueueBytes -= qh.Size
 			st.Drops++
@@ -570,29 +577,16 @@ func (s *Switch) FlushQueues(emit func(port int, qh QueuedHeader)) (pkts, bytes 
 // to arrive.
 func (s *Switch) Drain() []Departure {
 	var deps []Departure
-	for {
-		empty := true
-		for p := range s.queues {
-			if s.queues[p].Len() > 0 {
-				empty = false
-			}
-		}
-		if empty {
-			return deps
-		}
+	for s.queued > 0 {
 		deps = append(deps, s.Tick()...)
 	}
+	return deps
 }
 
 // QueuedPkts reports the number of packets currently held across all
-// port queues (including packets a shaping scheduler is withholding).
-func (s *Switch) QueuedPkts() int64 {
-	var n int64
-	for p := range s.queues {
-		n += int64(s.queues[p].Len())
-	}
-	return n
-}
+// port queues (including packets a shaping scheduler is withholding) —
+// a running counter, so an event-driven driver can ask every step.
+func (s *Switch) QueuedPkts() int64 { return s.queued }
 
 // NextEventTick reports the earliest future tick at which a service pass
 // could dequeue something, or -1 when every queue is empty. A port with
