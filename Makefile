@@ -40,12 +40,14 @@ build:
 test:
 	$(GO) test ./...
 
-# race covers the packages with mutable queue/scheduler/network state;
+# race covers the packages with mutable queue/scheduler/network state,
+# and the compiler back end, whose per-program codelet mappings are shared
+# by every target compiled from one IR (codegen's seven-goroutine test);
 # CI runs this. netsim's determinism tests run here too, so the sharded
 # flow-pinned data path is exercised under the race detector's schedule
 # perturbation.
 race:
-	$(GO) test -race ./internal/pifo/... ./internal/switchsim/... ./internal/netsim/...
+	$(GO) test -race ./internal/synth/... ./internal/codegen/... ./internal/pifo/... ./internal/switchsim/... ./internal/netsim/...
 
 # fuzz-smoke replays the checked-in seed corpora (testdata/fuzz/...)
 # through every native fuzz target as ordinary tests — deterministic, so
@@ -101,7 +103,7 @@ bench-e2e:
 	bash bench/run.sh
 
 # bench-e2e-smoke runs every benchmark workload at 1/100 scale with all
-# its correctness checks (~35 s). bench/ is a module of its own that the
+# its correctness checks (~3 s). bench/ is a module of its own that the
 # root module's `go test ./...` does not see; this keeps it from rotting.
 bench-e2e-smoke:
 	$(GO) test -C bench ./...
@@ -120,12 +122,13 @@ soak:
 soak-smoke:
 	$(GO) test ./internal/netsim -run 'TestChaosSoakSmoke' -count=1
 
-# fct-smoke is the time-budgeted fat-tree slice CI runs: the k=4
-# tick-vs-event differential plus a small end-to-end -fct report (k=4),
-# which itself asserts the event and polled cores agree on totals.
+# fct-smoke is the fat-tree slice CI runs: the k=4 tick-vs-event
+# differential plus the end-to-end -fct report at its default k=8 (128
+# hosts, 80 switches; under a second since compiling stopped dominating
+# it), which itself asserts the event and polled cores agree on totals.
 fct-smoke:
 	$(GO) test ./internal/netsim -run 'TestEventCoreDifferentialFatTree|TestFatTreeFCTConservation' -count=1
-	$(GO) run ./cmd/paper-eval -fct -k 4
+	$(GO) run ./cmd/paper-eval -fct
 
 # profile writes a CPU profile of the leaf-spine network experiment;
 # inspect with `go tool pprof cpu.prof`.

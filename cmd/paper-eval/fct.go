@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"domino/internal/netsim"
@@ -74,7 +75,10 @@ func fctExperiment(k int, seed int64) {
 		return ft.Net
 	}
 
+	// Collect before each timed replay, so that neither is charged for the
+	// garbage of the fabric builds before it.
 	evN := build()
+	runtime.GC()
 	start := time.Now()
 	if err := evN.Drain(1 << 22); err != nil {
 		fatal(err)
@@ -83,6 +87,7 @@ func fctExperiment(k int, seed int64) {
 	ticks := evN.Now()
 
 	polledN := build()
+	runtime.GC()
 	start = time.Now()
 	for polledN.Now() < ticks {
 		if err := polledN.Step(); err != nil {

@@ -39,7 +39,6 @@ import (
 	"domino/internal/hw"
 	"domino/internal/interp"
 	"domino/internal/p4gen"
-	"domino/internal/parser"
 	"domino/internal/passes"
 	"domino/internal/pifo"
 	"domino/internal/pvsm"
@@ -207,15 +206,7 @@ func fatal(err error) {
 
 // build compiles one algorithm down to IR.
 func build(a algorithms.Algorithm) (*sema.Info, *passes.NormResult) {
-	prog, err := parser.Parse(a.Source)
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", a.Name, err))
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", a.Name, err))
-	}
-	norm, err := passes.Normalize(info)
+	info, norm, err := codegen.Analyze(a.Source)
 	if err != nil {
 		fatal(fmt.Errorf("%s: %w", a.Name, err))
 	}

@@ -72,7 +72,7 @@ type Program struct {
 // if the program is syntactically or semantically invalid, or if it cannot
 // run at the target's line rate (all-or-nothing compilation, §4).
 func Compile(src string, target Target) (*Program, error) {
-	info, norm, err := analyze(src)
+	info, norm, err := codegen.Analyze(src)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func Compile(src string, target Target) (*Program, error) {
 // the program for the least expressive target that accepts it — the
 // "least expressive atom" column of paper Table 4.
 func CompileLeast(src string) (*Program, error) {
-	info, norm, err := analyze(src)
+	info, norm, err := codegen.Analyze(src)
 	if err != nil {
 		return nil, err
 	}
@@ -96,22 +96,6 @@ func CompileLeast(src string) (*Program, error) {
 		return nil, fmt.Errorf("domino: program cannot run at line rate on any target: %w", lastErr)
 	}
 	return &Program{inner: p, norm: norm}, nil
-}
-
-func analyze(src string) (*sema.Info, *passes.NormResult, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	info, err := sema.Check(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	norm, err := passes.Normalize(info)
-	if err != nil {
-		return nil, nil, err
-	}
-	return info, norm, nil
 }
 
 // Target returns the target the program was compiled for.

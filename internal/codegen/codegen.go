@@ -8,6 +8,7 @@ package codegen
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"domino/internal/atoms"
 	"domino/internal/ir"
@@ -141,18 +142,71 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("cannot run at line rate on target %s: %s", e.Target.Name, e.Reason)
 }
 
+// mapped is what Compile derives from an IR program alone and every target
+// the program is compiled for shares: the codelet pipeline, the escaping
+// fields, and each codelet's mapping — or the reason it has none — worked
+// out when the first target reaches the codelet.
+type mapped struct {
+	pl       *pvsm.Pipeline
+	err      error // pvsm.Build's
+	escaping map[string]bool
+	codelets map[*pvsm.Codelet]*mapping
+}
+
+// mapping is one codelet's synth.MapCodelet outcome, one variant per
+// Target.LookupTables value.
+type mapping struct {
+	once [2]sync.Once
+	res  [2]*synth.Result
+	err  [2]error
+}
+
+func mappedOf(irProg *ir.Program) *mapped {
+	return irProg.Derived(func() any {
+		m := &mapped{codelets: map[*pvsm.Codelet]*mapping{}}
+		if m.pl, m.err = pvsm.Build(irProg); m.err != nil {
+			return m
+		}
+		m.escaping = escapingFields(m.pl, irProg)
+		for _, st := range m.pl.Stages {
+			for _, c := range st {
+				m.codelets[c] = &mapping{}
+			}
+		}
+		return m
+	}).(*mapped)
+}
+
+func (m *mapped) mapCodelet(c *pvsm.Codelet, lut bool) (*synth.Result, error) {
+	mp, v := m.codelets[c], 0
+	if lut {
+		v = 1
+	}
+	mp.once[v].Do(func() {
+		mp.res[v], mp.err[v] = synth.MapCodelet(c, synth.Options{
+			Escaping: func(f string) bool { return m.escaping[f] },
+			AllowLUT: lut,
+		})
+	})
+	return mp.res[v], mp.err[v]
+}
+
 // Compile maps a codelet pipeline onto a target. It applies the resource-
 // limit pass (width spreading, depth rejection) and the computational-limit
 // pass (codelet→atom mapping through the synthesizer), returning the
-// configured atom pipeline or a rejection.
+// configured atom pipeline or a rejection. What does not depend on the
+// target is computed once per irProg, so compiling one IR object for target
+// after target (LeastTarget) maps each codelet once; a target still stops
+// at the first codelet it cannot run. irProg must not change after its
+// first Compile. Safe for concurrent use on one irProg.
 func Compile(info *sema.Info, irProg *ir.Program, target Target) (*Program, error) {
-	pl, err := pvsm.Build(irProg)
-	if err != nil {
-		return nil, err
+	m := mappedOf(irProg)
+	if m.err != nil {
+		return nil, m.err
 	}
 
 	// Resource limits: spread overfull stages (§4.3).
-	stages := spread(pl.Stages, target)
+	stages := spread(m.pl.Stages, target)
 	if len(stages) > target.PipelineDepth {
 		return nil, &Error{Target: target, Reason: fmt.Sprintf(
 			"needs %d pipeline stages; the target provides %d", len(stages), target.PipelineDepth)}
@@ -160,15 +214,11 @@ func Compile(info *sema.Info, irProg *ir.Program, target Target) (*Program, erro
 
 	// Computational limits: every codelet must map to an atom the target
 	// provides.
-	escaping := escapingFields(pl, irProg)
 	prog := &Program{Target: target, IR: irProg, Info: info, LeastAtom: atoms.Stateless}
 	for si, st := range stages {
 		var row []*Atom
 		for _, c := range st {
-			res, err := synth.MapCodelet(c, synth.Options{
-				Escaping: func(f string) bool { return escaping[f] },
-				AllowLUT: target.LookupTables,
-			})
+			res, err := m.mapCodelet(c, target.LookupTables)
 			if err != nil {
 				return nil, &Error{Target: target, Stage: si + 1, Reason: err.Error()}
 			}

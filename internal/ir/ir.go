@@ -19,6 +19,7 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"domino/internal/token"
 )
@@ -226,6 +227,20 @@ type Program struct {
 	// flanks, in flank order.
 	StateReads  []string
 	StateWrites []string
+
+	derivedOnce sync.Once
+	derived     any
+}
+
+// Derived returns what build returned the first time Derived was called on
+// this program, from any goroutine. It is the back end's place to keep what
+// it works out from the program alone and would otherwise work out again
+// for every target: the value lives exactly as long as the program, and a
+// program is never taken for another. The program must not change after
+// the first call.
+func (p *Program) Derived(build func() any) any {
+	p.derivedOnce.Do(func() { p.derived = build() })
+	return p.derived
 }
 
 func (p *Program) String() string {

@@ -76,44 +76,6 @@ func equalExpr(a, b expr) bool {
 	return false
 }
 
-// env is an evaluation environment for verification.
-type env struct {
-	fields map[string]int32
-	states map[string]int32
-}
-
-// eval evaluates e under en with Domino's int32 semantics.
-func eval(e expr, en *env) (int32, error) {
-	switch x := e.(type) {
-	case eConst:
-		return x.v, nil
-	case eField:
-		return en.fields[x.name], nil
-	case eState:
-		return en.states[x.name], nil
-	case *eBin:
-		a, err := eval(x.a, en)
-		if err != nil {
-			return 0, err
-		}
-		b, err := eval(x.b, en)
-		if err != nil {
-			return 0, err
-		}
-		return interp.EvalBinary(x.op, a, b)
-	case *eCond:
-		c, err := eval(x.c, en)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return eval(x.a, en)
-		}
-		return eval(x.b, en)
-	}
-	return 0, fmt.Errorf("synth: unknown expr %T", e)
-}
-
 // simplify applies normalization rewrites bottom-up until fixpoint (with an
 // iteration cap as a safety net):
 //

@@ -3,7 +3,6 @@ package synth
 import (
 	"fmt"
 
-	"domino/internal/interp"
 	"domino/internal/ir"
 	"domino/internal/pvsm"
 )
@@ -100,48 +99,4 @@ func symexec(c *pvsm.Codelet) (*summary, error) {
 		s.defs[f] = simplify(e)
 	}
 	return s, nil
-}
-
-// concreteExec runs the codelet on concrete values, for verification.
-// It returns the new state values and the defined packet fields.
-func concreteExec(c *pvsm.Codelet, states map[string]int32, fields map[string]int32) (map[string]int32, map[string]int32, error) {
-	st := make(map[string]int32, len(states))
-	for k, v := range states {
-		st[k] = v
-	}
-	defs := map[string]int32{}
-	get := func(o ir.Operand) int32 {
-		if o.IsConst() {
-			return o.Value
-		}
-		if v, ok := defs[o.Name]; ok {
-			return v
-		}
-		return fields[o.Name]
-	}
-	for _, s := range c.Stmts {
-		switch x := s.(type) {
-		case *ir.Move:
-			defs[x.Dst] = get(x.Src)
-		case *ir.BinOp:
-			v, err := interp.EvalBinary(x.Op, get(x.A), get(x.B))
-			if err != nil {
-				return nil, nil, err
-			}
-			defs[x.Dst] = v
-		case *ir.CondMove:
-			if get(x.Cond) != 0 {
-				defs[x.Dst] = get(x.A)
-			} else {
-				defs[x.Dst] = get(x.B)
-			}
-		case *ir.ReadState:
-			defs[x.Dst] = st[x.State]
-		case *ir.WriteState:
-			st[x.State] = get(x.Src)
-		default:
-			return nil, nil, fmt.Errorf("synth: unexpected statement %T", s)
-		}
-	}
-	return st, defs, nil
 }

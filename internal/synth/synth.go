@@ -2,8 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"domino/internal/atoms"
 	"domino/internal/intrinsics"
@@ -25,9 +23,6 @@ type Config struct {
 	StateUpdate map[string]string
 	// Outputs maps each defined packet field to its tap expression.
 	Outputs map[string]string
-
-	updates map[string]expr
-	defs    map[string]expr
 }
 
 // Result reports a codelet→atom mapping.
@@ -121,8 +116,6 @@ func MapCodelet(c *pvsm.Codelet, opts Options) (*Result, error) {
 		Atom:        kind,
 		StateUpdate: map[string]string{},
 		Outputs:     map[string]string{},
-		updates:     sum.states,
-		defs:        sum.defs,
 	}
 	for _, sv := range sum.order {
 		cfg.StateUpdate[sv] = sum.states[sv].String()
@@ -193,109 +186,4 @@ func pow2Rewritable(op token.Kind, a, b ir.Operand) bool {
 		return isPow2(b)
 	}
 	return false
-}
-
-// verify replays the codelet and the synthesized expressions on an
-// exhaustive small-domain grid plus random wide-domain vectors, comparing
-// new state values and every defined packet field. It returns the number of
-// vectors checked.
-func verify(c *pvsm.Codelet, sum *summary, opts Options) (int, error) {
-	inputs := c.Reads()
-	states := append([]string(nil), c.StateVars...)
-	sort.Strings(states)
-
-	vars := append(append([]string{}, states...), inputs...)
-	small := []int32{-31, -2, -1, 0, 1, 2, 5, 31}
-
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	checked := 0
-
-	check := func(assign map[string]int32) error {
-		stVals := map[string]int32{}
-		for _, s := range states {
-			stVals[s] = assign[s]
-		}
-		fVals := map[string]int32{}
-		for _, f := range inputs {
-			fVals[f] = assign[f]
-		}
-		wantState, wantDefs, err := concreteExec(c, stVals, fVals)
-		if err != nil {
-			return err
-		}
-		en := &env{fields: fVals, states: stVals}
-		for sv, e := range sum.states {
-			got, err := eval(e, en)
-			if err != nil {
-				return err
-			}
-			if got != wantState[sv] {
-				return fmt.Errorf("state %s: atom=%d codelet=%d under %v", sv, got, wantState[sv], assign)
-			}
-		}
-		for f, e := range sum.defs {
-			got, err := eval(e, en)
-			if err != nil {
-				return err
-			}
-			if got != wantDefs[f] {
-				return fmt.Errorf("field %s: atom=%d codelet=%d under %v", f, got, wantDefs[f], assign)
-			}
-		}
-		checked++
-		return nil
-	}
-
-	// Exhaustive grid while it stays small; sampled grid otherwise.
-	total := 1
-	exhaustive := true
-	for range vars {
-		if total > 32768/len(small) {
-			exhaustive = false
-			break
-		}
-		total *= len(small)
-	}
-	assign := map[string]int32{}
-	if exhaustive && len(vars) > 0 {
-		idx := make([]int, len(vars))
-		for {
-			for i, v := range vars {
-				assign[v] = small[idx[i]]
-			}
-			if err := check(assign); err != nil {
-				return checked, err
-			}
-			j := 0
-			for ; j < len(idx); j++ {
-				idx[j]++
-				if idx[j] < len(small) {
-					break
-				}
-				idx[j] = 0
-			}
-			if j == len(idx) {
-				break
-			}
-		}
-	} else {
-		for i := 0; i < 32768; i++ {
-			for _, v := range vars {
-				assign[v] = small[rng.Intn(len(small))]
-			}
-			if err := check(assign); err != nil {
-				return checked, err
-			}
-		}
-	}
-
-	for i := 0; i < opts.VerifyVectors; i++ {
-		for _, v := range vars {
-			assign[v] = int32(rng.Uint32())
-		}
-		if err := check(assign); err != nil {
-			return checked, err
-		}
-	}
-	return checked, nil
 }
