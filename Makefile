@@ -10,7 +10,7 @@ BENCH_BASE ?= BENCH_pr9.json
 # snapshots losing more than this percent of throughput fails the build.
 MAX_LOSS ?= 10
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-delta bench-regression bench-e2e bench-e2e-smoke fuzz-smoke cover-net staticcheck profile soak soak-smoke fct-smoke
+.PHONY: check fmt vet build test race bench bench-smoke bench-delta bench-regression bench-e2e bench-e2e-smoke bench-pairs fuzz-smoke cover-net staticcheck profile soak soak-smoke fct-smoke
 
 check: fmt vet staticcheck build test race fuzz-smoke soak-smoke fct-smoke cover-net bench-e2e-smoke
 
@@ -107,6 +107,18 @@ bench-e2e:
 # root module's `go test ./...` does not see; this keeps it from rotting.
 bench-e2e-smoke:
 	$(GO) test -C bench ./...
+
+# bench-pairs is how a claimed gain is shown: the parent revision and the
+# working tree, each built once, run alternately on one workload, with
+# medians, quartiles, pair wins and the parent's inter-quartile spread
+# per end-to-end metric (scripts/bench-pairs.sh; ~25 s per run, two runs
+# per pair). Run it on seed 1 and again on the held-out seed 7.
+SEED ?= 1
+N ?= 10
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { \
+		echo "usage: make bench-pairs PARENT=<rev> WORKLOAD=<name> [SEED=1] [N=10]"; exit 2; }
+	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(SEED)" "$(N)"
 
 # soak runs the full chaos soak: 1000 seeded random gray-failure
 # schedules (reorder, duplication, flaps, restarts, crashes, corruption)

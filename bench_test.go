@@ -625,6 +625,101 @@ func BenchmarkFatTreeEventThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkFabricBuild prices building a fabric from programs that are
+// already compiled — what every reliable-chaos schedule and every
+// fat-tree experiment pays before its first tick. Each switch re-runs the
+// machine build (optimize + layout + closure fusion) from its shared
+// *codegen.Program; the banzai.New row is that cost for one
+// flowlet_route machine, in ns/op and B/op.
+func BenchmarkFabricBuild(b *testing.B) {
+	compile := func(src string, err error) *codegen.Program {
+		b.Helper()
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := codegen.CompileLeastSource(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	report := func(b *testing.B, switches int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*switches), "ns/switch")
+		b.ReportMetric(float64(switches), "switches")
+	}
+
+	// The 4x2 leaf-spine of the reliable-chaos benchmark workload.
+	const leaves, spines, hostsPerLeaf = 4, 2, 2
+	params := algorithms.RouteParams{Leaves: leaves, Spines: spines, HostsPerLeaf: hostsPerLeaf, ECN: true}
+	leafProgs := make([]*codegen.Program, leaves)
+	for l := range leafProgs {
+		params.LeafID = l
+		leafProgs[l] = compile(algorithms.FlowletRouteSource(params))
+	}
+	params.LeafID = 0
+	spineProg := compile(algorithms.SpineRouteSource(params))
+
+	b.Run("banzai.New/flowlet_route", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := banzai.New(leafProgs[0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("leafspine_4x2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, err := netsim.NewLeafSpine(netsim.LeafSpineConfig{
+				Leaves: leaves, Spines: spines, HostsPerLeaf: hostsPerLeaf,
+				LeafProgram:        func(l int) (*codegen.Program, error) { return leafProgs[l], nil },
+				SpineProgram:       func(int) (*codegen.Program, error) { return spineProg, nil },
+				UplinkBytesPerTick: 3000, DownlinkBytesPerTick: 6000,
+				RouteField: algorithms.RouteOutPort,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b, leaves+spines)
+	})
+
+	for _, k := range []int{4, 8, 16} {
+		half := k / 2
+		edgeProgs := make([]*codegen.Program, k*half)
+		for e := range edgeProgs {
+			edgeProgs[e] = compile(algorithms.FlowletRouteSource(algorithms.RouteParams{
+				LeafID: e, Leaves: k * half, Spines: half, HostsPerLeaf: half,
+			}))
+		}
+		aggProgs := make([]*codegen.Program, k)
+		for pod := range aggProgs {
+			aggProgs[pod] = compile(algorithms.FatAggRouteSource(algorithms.RouteParams{
+				LeafID: pod, Leaves: k, Spines: half, HostsPerLeaf: half,
+			}))
+		}
+		coreProg := compile(algorithms.SpineRouteSource(algorithms.RouteParams{
+			Leaves: k, Spines: half, HostsPerLeaf: half * half,
+		}))
+		b.Run(fmt.Sprintf("fattree_k%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := netsim.NewFatTree(netsim.FatTreeConfig{
+					K:           k,
+					EdgeProgram: func(e int) (*codegen.Program, error) { return edgeProgs[e], nil },
+					AggProgram:  func(pod int) (*codegen.Program, error) { return aggProgs[pod], nil },
+					CoreProgram: func(int) (*codegen.Program, error) { return coreProg, nil },
+					RouteField:  algorithms.RouteOutPort,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			report(b, k*half*2+half*half)
+		})
+	}
+}
+
 // BenchmarkTelemetryNetThroughput prices the observability plane (PR 8):
 // the same INT-stamping ECMP fabric with telemetry off (nil sink — every
 // instrument is a nil no-op, the hot path must stay allocation-free) and

@@ -57,18 +57,20 @@ const RouteOutPort = "out_port"
 // routing transactions declare (`int port_up[SPINES] = {1}`): entry s is
 // 1 while uplink s is usable, 0 while it is down. The netsim fault
 // harness pokes it from the control plane at link up/down boundaries
-// (banzai.Machine.PokeState), so rerouting around a dead link is the
-// transaction's decision, not the simulator's. Transactions that do not
-// declare it (ecmp_route, spine_route) stay failure-blind and blackhole.
+// (through a banzai.StateRef it resolves once per switch), so rerouting
+// around a dead link is the transaction's decision, not the simulator's.
+// Transactions that do not declare it (ecmp_route, spine_route) stay
+// failure-blind and blackhole.
 const PortUpState = "port_up"
 
 // ECNQueueState is the per-switch queue-depth state array the ECN-marking
 // block reads (`int queue_depth[PORTS] = {0}`): entry p is the byte depth
 // of output-port p's queue, poked by the netsim harness between ticks
-// (banzai.Machine.PokeState) — the same control-plane visibility
-// convention as PortUpState. Marking stays a transaction's decision: the
-// program compares the depth against its threshold and sets the packet's
-// ecn field; the simulator only publishes the observable.
+// (through a banzai.StateRef: a per-step feed must not look the array up
+// by name) — the same control-plane visibility convention as
+// PortUpState. Marking stays a transaction's decision: the program
+// compares the depth against its threshold and sets the packet's ecn
+// field; the simulator only publishes the observable.
 const ECNQueueState = "queue_depth"
 
 // DefaultECNThresholdBytes is the marking threshold when RouteParams.ECN
@@ -77,11 +79,11 @@ const DefaultECNThresholdBytes = 9000
 
 // INTSwitchIDState is the per-switch identity scalar the int_stamp
 // telemetry block reads (`int switch_id = 0;`): the netsim harness pokes
-// each machine's value once at construction (banzai.Machine.PokeState,
-// index 0) with the switch's node id — the same control-plane visibility
-// convention as PortUpState and ECNQueueState. The transaction folds it
-// into the packet's path digest; the simulator only publishes who the
-// switch is, never what to stamp.
+// each machine's value at construction and after every restart (a
+// banzai.StateRef, index 0) with the switch's node id — the same
+// control-plane visibility convention as PortUpState and ECNQueueState.
+// The transaction folds it into the packet's path digest; the simulator
+// only publishes who the switch is, never what to stamp.
 const INTSwitchIDState = "switch_id"
 
 // RouteParams instantiates a routing transaction for one position in a

@@ -59,12 +59,14 @@ func (o operand) value(p []int32) int32 {
 	return p[o.slot]
 }
 
-// cell is atom-local state storage: one scalar or one array.
+// cell is atom-local state storage: one scalar or one array. init is the
+// declared initial value ResetState restores.
 type cell struct {
 	name    string
 	isArray bool
 	scalar  int32
 	arr     []int32
+	init    int32
 }
 
 // mop is a compiled micro-operation of an atom.
@@ -192,7 +194,7 @@ func NewWithLayout(p *codegen.Program, l *Layout) (*Machine, error) {
 				if !ok {
 					return nil
 				}
-				c := &cell{name: name, isArray: g.IsArray()}
+				c := &cell{name: name, isArray: g.IsArray(), init: g.Init}
 				if g.IsArray() {
 					c.arr = make([]int32, g.Size)
 					for i := range c.arr {
@@ -483,32 +485,36 @@ func (m *Machine) DrainH() []Header {
 	return out
 }
 
-// findCell locates the atom-local cell holding a state variable, or nil
-// when the compiled program never touches it (cells exist only for state
-// the surviving statements read or write).
-func (m *Machine) findCell(name string) *cell {
+// StateRef is a resolved handle to one state variable's atom-local cell:
+// the by-name lookup done once, so a harness that pokes a variable every
+// step (a queue-depth feed) pays an index check per access, not a scan
+// of the pipeline's atoms. ResetState and ScrambleState mutate cells in
+// place, so a handle stays valid as long as its machine. The zero
+// StateRef refuses every access.
+type StateRef struct{ c *cell }
+
+// StateRef resolves a state variable to its cell. It reports false when
+// the compiled program never touches the variable: cells exist only for
+// state the surviving statements read or write, so state a program
+// declares but never uses has nothing to poke.
+func (m *Machine) StateRef(name string) (StateRef, bool) {
 	for _, row := range m.stages {
 		for _, a := range row {
 			for _, c := range a.cells {
 				if c.name == name {
-					return c
+					return StateRef{c}, true
 				}
 			}
 		}
 	}
-	return nil
+	return StateRef{}, false
 }
 
-// PokeState overwrites one element of a state variable from the control
-// plane — how a harness makes an out-of-band condition (a failed link, an
-// operator override) visible to the data-plane program between packets.
-// For scalars index must be 0. It reports false, changing nothing, when
-// the program does not touch the named state or the index is out of
-// range; state the program declares but never uses has no cell to poke.
-// Control-plane only: it scans the pipeline's atoms on every call.
-func (m *Machine) PokeState(name string, index int, v int32) bool {
-	c := m.findCell(name)
-	switch {
+// Set overwrites one element of the variable (for scalars index must be
+// 0), reporting false and changing nothing when the index is out of
+// range or the handle is the zero StateRef.
+func (r StateRef) Set(index int, v int32) bool {
+	switch c := r.c; {
 	case c == nil:
 		return false
 	case c.isArray:
@@ -525,11 +531,9 @@ func (m *Machine) PokeState(name string, index int, v int32) bool {
 	return true
 }
 
-// PeekState reads one element of a state variable from the control plane
-// (PokeState's read half, with the same cell and range rules).
-func (m *Machine) PeekState(name string, index int) (int32, bool) {
-	c := m.findCell(name)
-	switch {
+// Get reads one element of the variable, with Set's index rules.
+func (r StateRef) Get(index int) (int32, bool) {
+	switch c := r.c; {
 	case c == nil:
 		return 0, false
 	case c.isArray:
@@ -545,6 +549,24 @@ func (m *Machine) PeekState(name string, index int) (int32, bool) {
 	}
 }
 
+// PokeState overwrites one element of a state variable from the control
+// plane — how a harness makes an out-of-band condition (a failed link, an
+// operator override) visible to the data-plane program between packets.
+// It is the by-name convenience over StateRef + Set, with their refusals
+// (unknown or untouched state, index out of range, nonzero scalar
+// index); a caller that pokes every step resolves a StateRef once.
+func (m *Machine) PokeState(name string, index int, v int32) bool {
+	r, _ := m.StateRef(name)
+	return r.Set(index, v)
+}
+
+// PeekState reads one element of a state variable from the control plane
+// (PokeState's read half: StateRef + Get).
+func (m *Machine) PeekState(name string, index int) (int32, bool) {
+	r, _ := m.StateRef(name)
+	return r.Get(index)
+}
+
 // ResetState returns every atom-local cell — scalar and array — to its
 // declared initial value, as if the machine had just been built: a
 // switch restart that loses all transaction-owned soft state (flowlet
@@ -556,16 +578,12 @@ func (m *Machine) ResetState() {
 	for _, row := range m.stages {
 		for _, a := range row {
 			for _, c := range a.cells {
-				var init int32
-				if g, ok := m.prog.Info.StateVar(c.name); ok {
-					init = g.Init
-				}
 				if c.isArray {
 					for i := range c.arr {
-						c.arr[i] = init
+						c.arr[i] = c.init
 					}
 				} else {
-					c.scalar = init
+					c.scalar = c.init
 				}
 			}
 		}

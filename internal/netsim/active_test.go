@@ -313,6 +313,100 @@ func TestScrambledIdleSwitchRepublishesDepths(t *testing.T) {
 	checkNet(t, n)
 }
 
+// TestRestartRepokesStateThroughHandles: the harness resolves port_up,
+// switch_id and queue_depth once at AddSwitch; a restart wipes or
+// scrambles the arrays in place, so the same handles must still reach
+// what the compiled program reads. Packets are the witnesses: leaf0's
+// uplink 0 dies at tick 2 and the leaf restarts at tick 10 with the link
+// still down, so every later packet must leave through uplink 1 (port_up
+// re-poked: a clean reset alone would read the declared 1 for the dead
+// port) carrying a digest that starts with leaf0's node id (switch_id
+// re-poked: the declared init is 0); a lone packet through the idle
+// fabric is unmarked (queue_depth republished as 0 over the scramble)
+// and a packet arriving one tick after a burst is marked (the next
+// republish reaches the program too).
+func TestRestartRepokesStateThroughHandles(t *testing.T) {
+	for _, scramble := range []bool{false, true} {
+		name := "reset"
+		if scramble {
+			name = "scramble"
+		}
+		t.Run(name, func(t *testing.T) {
+			c := ExperimentConfig{Routing: "flowlet_route", Leaves: 2, Spines: 2, HostsPerLeaf: 1,
+				ECN: true, ECNThresholdBytes: 1, INT: true,
+				UplinkBytesPerTick: 1500, DownlinkBytesPerTick: 1500, LinkDelay: 1}
+			ls := buildTiny(t, c)
+			n := ls.Net
+			leaf0, leaf1, spine1 := ls.Leaves[0], ls.Leaves[1], ls.Spines[1]
+			fs := (&FaultSchedule{Seed: 17}).LinkDown(2, leaf0, 0)
+			if scramble {
+				fs.SwitchRestartScramble(10, leaf0)
+			} else {
+				fs.SwitchRestart(10, leaf0)
+			}
+			if err := n.SetFaults(fs); err != nil {
+				t.Fatal(err)
+			}
+			// Flow 0 alone at tick 20; flows 1-4 as one burst at tick 40 and
+			// flow 5 one tick behind them.
+			if err := n.SetTrace(onePacketFlows(20, 40, 40, 40, 40, 41), ls.Hosts); err != nil {
+				t.Fatal(err)
+			}
+			type seen struct {
+				digest int32
+				marked bool
+			}
+			got := map[int32]seen{}
+			var marks int64
+			n.OnDeliver = func(ev Delivery) {
+				if ev.Fb {
+					return
+				}
+				got[ev.Flow] = seen{digest: ev.Digest, marked: n.ecnMarked > marks}
+				marks = n.ecnMarked
+			}
+
+			for n.Now() < 10 {
+				n.Tick()
+			}
+			m := n.nodes[leaf0].sw.sw.Machine()
+			for port, want := range []int32{0, 1} {
+				if v, ok := m.PeekState(algorithms.PortUpState, port); !ok || v != want {
+					t.Errorf("after the restart port_up[%d] = %d,%v, want %d", port, v, ok, want)
+				}
+			}
+			if v, ok := m.PeekState(algorithms.INTSwitchIDState, 0); !ok || v != int32(leaf0) {
+				t.Errorf("after the restart switch_id = %d,%v, want %d", v, ok, leaf0)
+			}
+			for p := 0; p < n.nodes[leaf0].sw.qdPorts; p++ {
+				if v, ok := m.PeekState(algorithms.ECNQueueState, p); !ok || v != 0 {
+					t.Errorf("after the restart queue_depth[%d] = %d,%v, want the real depth 0", p, v, ok)
+				}
+			}
+
+			if err := n.Drain(1 << 12); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 6 {
+				t.Fatalf("%d of 6 packets delivered: %+v", len(got), got)
+			}
+			want := algorithms.PathDigest(int32(leaf0), int32(spine1), int32(leaf1))
+			for flow, s := range got {
+				if s.digest != want {
+					t.Errorf("flow %d took %s, want leaf0>spine1>leaf1", flow, ls.PathName(s.digest))
+				}
+			}
+			if got[0].marked {
+				t.Error("the lone packet was ECN-marked on an idle fabric: queue_depth not republished over the wipe")
+			}
+			if !got[5].marked {
+				t.Error("the packet behind the burst was not ECN-marked: the republished queue_depth did not reach the program")
+			}
+			checkNet(t, n)
+		})
+	}
+}
+
 // TestLinkDownKeepsRunningInFlight: blackholing a link's in-flight
 // packets takes them out of the running in-flight terms too.
 func TestLinkDownKeepsRunningInFlight(t *testing.T) {

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-
-	"domino/internal/algorithms"
 )
 
 // FaultKind is one fault event's type.
@@ -390,7 +388,7 @@ func (n *Network) restartSwitch(w *netSwitch, ev *FaultEvent) {
 	} else {
 		m.ResetState()
 	}
-	m.PokeState(algorithms.INTSwitchIDState, 0, int32(w.id))
+	w.switchID.Set(0, int32(w.id))
 	for port, l := range w.links {
 		if l == nil {
 			continue
@@ -401,7 +399,7 @@ func (n *Network) restartSwitch(w *netSwitch, ev *FaultEvent) {
 		if up {
 			v = 1
 		}
-		m.PokeState(algorithms.PortUpState, port, v)
+		w.portUp.Set(port, v)
 	}
 	w.stalled, w.crashed = false, false
 	w.noteFreeze(n.now)
@@ -417,7 +415,7 @@ func (n *Network) freezePort(l *link, down bool) {
 	if down {
 		v = 0
 	}
-	l.from.sw.Machine().PokeState(algorithms.PortUpState, l.fromPort, v)
+	l.from.portUp.Set(l.fromPort, v)
 }
 
 // restoreLink returns a link to full health: up, base capacity, clean

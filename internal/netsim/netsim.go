@@ -140,6 +140,11 @@ type netSwitch struct {
 	// nothing per call.
 	emit func(port int, qh switchsim.QueuedHeader)
 
+	// Handles to the control-plane-owned state the harness pokes
+	// (queue_depth, port_up, switch_id), resolved once at AddSwitch so no
+	// step looks a state variable up by name. A program that does not
+	// touch one leaves its handle zero, which refuses every poke.
+	qdepth, portUp, switchID banzai.StateRef
 	// qdPorts is how many leading elements of the program's queue_depth
 	// array the harness refreshes each tick (0 when the program does not
 	// declare the array — ECN marking off). Resolved once at AddSwitch.
@@ -515,11 +520,15 @@ func (n *Network) AddSwitch(name string, prog *codegen.Program, cfg switchsim.Co
 		},
 	}
 	w.emit = func(port int, qh switchsim.QueuedHeader) { n.transmit(w, port, qh) }
+	m := sw.Machine()
+	w.qdepth, _ = m.StateRef(algorithms.ECNQueueState)
+	w.portUp, _ = m.StateRef(algorithms.PortUpState)
+	w.switchID, _ = m.StateRef(algorithms.INTSwitchIDState)
 	// A program that declares (and uses) the observation block's
 	// queue_depth array gets it refreshed from the real queues each tick
 	// (publishQueueDepths — shared by ECN marking and INT stamping).
 	for w.qdPorts < cfg.Ports {
-		if _, ok := sw.Machine().PeekState(algorithms.ECNQueueState, w.qdPorts); !ok {
+		if _, ok := w.qdepth.Get(w.qdPorts); !ok {
 			break
 		}
 		w.qdPorts++
@@ -527,7 +536,7 @@ func (n *Network) AddSwitch(name string, prog *codegen.Program, cfg switchsim.Co
 	// An INT-stamping program learns this switch's identity once: the
 	// node id it folds into every packet's path digest. The poke simply
 	// refuses when the program declares no switch_id.
-	sw.Machine().PokeState(algorithms.INTSwitchIDState, 0, int32(w.id))
+	w.switchID.Set(0, int32(w.id))
 	n.switches = append(n.switches, w)
 	if len(n.switches) > 64*len(n.active) {
 		n.active = append(n.active, 0)
@@ -993,7 +1002,7 @@ func (w *netSwitch) publishQueueDepths() {
 		if d > int64(maxInt32) {
 			d = int64(maxInt32)
 		}
-		w.sw.Machine().PokeState(algorithms.ECNQueueState, p, int32(d))
+		w.qdepth.Set(p, int32(d))
 	}
 }
 

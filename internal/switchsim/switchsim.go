@@ -177,22 +177,17 @@ func (r *fifoRing) Dequeue(now int64) (QueuedHeader, bool) {
 	if r.n == 0 {
 		return QueuedHeader{}, false
 	}
+	return r.pop(), true
+}
+
+// pop removes the head of a non-empty ring, zeroing the vacated slot so
+// the ring retains no header past its release.
+func (r *fifoRing) pop() QueuedHeader {
 	q := r.buf[r.head]
 	r.buf[r.head] = QueuedHeader{}
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
-	return q, true
-}
-
-// fifoScheduler builds the default FIFO rings.
-type fifoScheduler struct{}
-
-func (fifoScheduler) Build(l *banzai.Layout, ports int) ([]PortScheduler, error) {
-	out := make([]PortScheduler, ports)
-	for i := range out {
-		out[i] = &fifoRing{}
-	}
-	return out, nil
+	return q
 }
 
 // Switch is an output-queued switch with a Banzai ingress pipeline.
@@ -208,6 +203,15 @@ type Switch struct {
 	now       int64
 	seq       int64
 	rr        int
+	// Bound once in New, so no service pass dispatches or type-asserts to
+	// find out what a port's queue is. With the default scheduler
+	// (Config.Scheduler == nil) fifos holds the very rings queues holds,
+	// as their concrete type, and enqueue, service and flush call them
+	// directly; it is nil with a custom scheduler, whose ports go through
+	// the PortScheduler interface and whose events[p] is queues[p]'s
+	// EventScheduler side (nil where the scheduler has none).
+	fifos  []*fifoRing
+	events []EventScheduler
 	// queued is the packets currently held across all port queues,
 	// maintained at enqueue, dequeue and flush so QueuedPkts is O(1);
 	// Totals re-sums the schedulers' Len() and CheckConservation compares.
@@ -250,16 +254,30 @@ func New(prog *codegen.Program, cfg Config) (*Switch, error) {
 		}
 		routeSlot = slot
 	}
-	sched := cfg.Scheduler
-	if sched == nil {
-		sched = fifoScheduler{}
-	}
-	queues, err := sched.Build(m.Layout(), cfg.Ports)
-	if err != nil {
-		return nil, fmt.Errorf("switchsim: building scheduler: %w", err)
-	}
-	if len(queues) != cfg.Ports {
-		return nil, fmt.Errorf("switchsim: scheduler built %d port queues, want %d", len(queues), cfg.Ports)
+	var (
+		queues []PortScheduler
+		fifos  []*fifoRing
+		events []EventScheduler
+	)
+	if cfg.Scheduler == nil {
+		queues = make([]PortScheduler, cfg.Ports)
+		fifos = make([]*fifoRing, cfg.Ports)
+		for p := range fifos {
+			fifos[p] = &fifoRing{}
+			queues[p] = fifos[p]
+		}
+	} else {
+		queues, err = cfg.Scheduler.Build(m.Layout(), cfg.Ports)
+		if err != nil {
+			return nil, fmt.Errorf("switchsim: building scheduler: %w", err)
+		}
+		if len(queues) != cfg.Ports {
+			return nil, fmt.Errorf("switchsim: scheduler built %d port queues, want %d", len(queues), cfg.Ports)
+		}
+		events = make([]EventScheduler, cfg.Ports)
+		for p, q := range queues {
+			events[p], _ = q.(EventScheduler)
+		}
 	}
 	rates := make([]int64, cfg.Ports)
 	for p := range rates {
@@ -280,6 +298,8 @@ func New(prog *codegen.Program, cfg Config) (*Switch, error) {
 		machine:   m,
 		routeSlot: routeSlot,
 		queues:    queues,
+		fifos:     fifos,
+		events:    events,
 		rates:     rates,
 		carry:     make([]int64, cfg.Ports),
 		portDown:  make([]bool, cfg.Ports),
@@ -406,7 +426,17 @@ func (s *Switch) enqueue(h banzai.Header, size int64) (port int, dropped bool) {
 		return port, true
 	}
 	s.seq++
-	s.queues[port].Enqueue(QueuedHeader{H: h, Size: size, Arrived: s.now, Seq: s.seq})
+	qh := QueuedHeader{H: h, Size: size, Arrived: s.now, Seq: s.seq}
+	var depth int64
+	if s.fifos != nil {
+		r := s.fifos[port]
+		r.Enqueue(qh)
+		depth = int64(r.n)
+	} else {
+		q := s.queues[port]
+		q.Enqueue(qh)
+		depth = int64(q.Len())
+	}
 	s.queued++
 	st.Enqueues++
 	st.Bytes += size
@@ -414,7 +444,7 @@ func (s *Switch) enqueue(h banzai.Header, size int64) (port int, dropped bool) {
 	if st.QueueBytes > st.MaxQueue {
 		st.MaxQueue = st.QueueBytes
 	}
-	if depth := int64(s.queues[port].Len()); depth > st.MaxDepth {
+	if depth > st.MaxDepth {
 		st.MaxDepth = depth
 	}
 	s.enqC.Inc()
@@ -476,41 +506,70 @@ func (s *Switch) AdvanceTo(now int64) {
 // tick now (never backwards) and runs one service pass there. An
 // event-driven driver that skips idle ticks calls this with the fabric
 // tick; TickFunc(emit) is exactly TickAt(s.now+1, emit).
+//
+// The default FIFO rings are served in place — head read where it sits,
+// popped directly — and a custom scheduler through the PortScheduler
+// interface; the two loops differ in nothing but how they peek at and
+// take a port's head.
 func (s *Switch) TickAt(now int64, emit func(port int, qh QueuedHeader)) {
 	s.AdvanceTo(now)
-	for p := range s.queues {
+	for p, q := range s.queues {
 		if s.portDown[p] {
 			continue // downed port: queue frozen, no budget accrues
 		}
-		q := s.queues[p]
-		budget := s.rates[p] + s.carry[p]
+		rate := s.rates[p]
+		budget := rate + s.carry[p]
 		s.carry[p] = 0
+		if s.fifos != nil {
+			for r := s.fifos[p]; r.n > 0; {
+				size := r.buf[r.head].Size
+				if size > budget {
+					if size > rate {
+						s.carry[p] = budget
+					}
+					break
+				}
+				budget -= size
+				qh := r.pop()
+				s.departed(p, &qh)
+				emit(p, qh)
+			}
+			continue
+		}
 		for {
 			head, ok := q.Head(s.now)
 			if !ok {
 				break
 			}
 			if head.Size > budget {
-				if head.Size > s.rates[p] {
+				if head.Size > rate {
 					s.carry[p] = budget
 				}
 				break
 			}
 			qh, _ := q.Dequeue(s.now)
-			s.queued--
 			budget -= qh.Size
-			st := &s.stats[p]
-			st.QueueBytes -= qh.Size
-			st.Departures++
-			st.DepartedBytes += qh.Size
-			s.deqC.Inc()
-			s.qdelayH[p].Observe(s.now - qh.Arrived)
-			if s.trace != nil {
-				flow, seq := s.traceIDs(qh.H)
-				s.trace.Record(s.now, telemetry.EvDequeue, s.traceNode, int32(p), flow, seq, int32(qh.Size), int32(s.now-qh.Arrived))
-			}
+			s.departed(p, &qh)
 			emit(p, qh)
 		}
+	}
+}
+
+// departed accounts for a packet a service pass just took off port p's
+// queue, before it is handed to emit. It takes the packet by pointer and
+// leaves the emit call to the loop: too big to inline, it cost the PIFO
+// switch 7% when the 56-byte QueuedHeader and the callback rode along.
+func (s *Switch) departed(p int, qh *QueuedHeader) {
+	s.queued--
+	st := &s.stats[p]
+	st.QueueBytes -= qh.Size
+	st.Departures++
+	st.DepartedBytes += qh.Size
+	s.deqC.Inc()
+	s.qdelayH[p].Observe(s.now - qh.Arrived)
+	if s.trace != nil {
+		flow, seq := s.traceIDs(qh.H)
+		s.trace.Record(s.now, telemetry.EvDequeue, s.traceNode, int32(p), flow, seq, int32(qh.Size), int32(s.now-qh.Arrived))
 	}
 }
 
@@ -543,10 +602,17 @@ func (s *Switch) Tick() []Departure {
 // shaping scheduler only packets the scheduler surrenders via Dequeue
 // are flushed; anything it withholds stays queued — and stays counted.
 func (s *Switch) FlushQueues(emit func(port int, qh QueuedHeader)) (pkts, bytes int64) {
-	for p := range s.queues {
-		q := s.queues[p]
+	for p, q := range s.queues {
 		for {
-			qh, ok := q.Dequeue(s.now)
+			var (
+				qh QueuedHeader
+				ok bool
+			)
+			if s.fifos != nil {
+				qh, ok = s.fifos[p].Dequeue(s.now)
+			} else {
+				qh, ok = q.Dequeue(s.now)
+			}
 			if !ok {
 				break
 			}
@@ -596,19 +662,24 @@ func (s *Switch) QueuedPkts() int64 { return s.queued }
 // answers now+1: nothing will move, but per-tick stepping keeps the
 // no-progress watchdog's accounting identical to the polled core's. Only
 // a port whose scheduler is withholding everything until a future send
-// time lets the driver sleep to that tick.
+// time lets the driver sleep to that tick — which a FIFO never does, so
+// the default scheduler's answer is just "anything queued?".
 func (s *Switch) NextEventTick(now int64) int64 {
+	if s.queued == 0 {
+		return -1
+	}
+	if s.fifos != nil {
+		return now + 1
+	}
 	at := int64(-1)
-	for p := range s.queues {
-		if s.queues[p].Len() == 0 {
+	for p, q := range s.queues {
+		if q.Len() == 0 {
 			continue
 		}
 		t := now + 1
-		if !s.portDown[p] {
-			if es, ok := s.queues[p].(EventScheduler); ok {
-				if et := es.NextEventTick(now); et > t {
-					t = et
-				}
+		if es := s.events[p]; es != nil && !s.portDown[p] {
+			if et := es.NextEventTick(now); et > t {
+				t = et
 			}
 		}
 		if t == now+1 {
