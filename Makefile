@@ -2,12 +2,13 @@ GO ?= go
 # bash for pipefail in the bench recipe.
 SHELL := /bin/bash
 
-# BENCH_OUT is the committed per-PR benchmark snapshot `make bench` emits;
-# BENCH_BASE is the previous PR's snapshot bench-delta compares against.
+# BENCH_OUT is the snapshot `make bench` emits; BENCH_BASE the one
+# bench-delta compares it against. Local tools: the committed snapshots
+# stop at PR 10, and the regression gate is BENCHMARK.json (bench-pairs).
 BENCH_OUT ?= BENCH_pr10.json
 BENCH_BASE ?= BENCH_pr9.json
-# MAX_LOSS is the bench-regression gate: any benchmark present in both
-# snapshots losing more than this percent of throughput fails the build.
+# MAX_LOSS is bench-regression's threshold: any benchmark present in both
+# snapshots losing more than this percent of throughput fails it.
 MAX_LOSS ?= 10
 
 .PHONY: check fmt vet build test race bench bench-smoke bench-delta bench-regression bench-e2e bench-e2e-smoke bench-pairs fuzz-smoke cover-net staticcheck profile soak soak-smoke fct-smoke
@@ -90,9 +91,10 @@ bench-smoke:
 bench-delta:
 	$(GO) run ./cmd/benchjson -delta $(BENCH_BASE) $(BENCH_OUT)
 
-# bench-regression is bench-delta as a gate: exit non-zero if any common
-# benchmark lost more than $(MAX_LOSS)% of its throughput; CI runs this
-# against the committed snapshots.
+# bench-regression is bench-delta as a check: exit non-zero if any common
+# benchmark lost more than $(MAX_LOSS)% of its throughput. CI does not run
+# it — over two committed files it can only repeat one answer; use it on
+# snapshots you just recorded.
 bench-regression:
 	$(GO) run ./cmd/benchjson -delta -maxloss $(MAX_LOSS) $(BENCH_BASE) $(BENCH_OUT)
 

@@ -529,41 +529,42 @@ func BenchmarkSwitchSchedulerThroughput(b *testing.B) {
 func BenchmarkNetThroughput(b *testing.B) {
 	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
 		b.Run(routing, func(b *testing.B) {
-			cfg := netsim.ExperimentConfig{Routing: routing, Seed: 1}
-			ls, _, err := cfg.Build()
+			cfg := netsim.Scenario{Routing: routing, Seed: 1}
+			f, err := cfg.Build()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := ls.Net.MapHosts(ls.Hosts); err != nil {
+			n := f.Network()
+			if err := n.MapHosts(f.HostIDs()); err != nil {
 				b.Fatal(err)
 			}
 			pkts := cfg.Trace().Packets
 			// Warmup: one full trace replay at the benchmark's pacing grows
 			// every pool and ring to steady state.
 			for i := range pkts {
-				if err := ls.Net.InjectNow(&pkts[i]); err != nil {
+				if err := n.InjectNow(&pkts[i]); err != nil {
 					b.Fatal(err)
 				}
 				if i&3 == 3 {
-					ls.Net.Tick()
+					mustStep(b, n)
 				}
 			}
-			if err := ls.Net.Drain(1 << 20); err != nil {
+			if err := n.Drain(1 << 20); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ls.Net.InjectNow(&pkts[i%len(pkts)]); err != nil {
+				if err := n.InjectNow(&pkts[i%len(pkts)]); err != nil {
 					b.Fatal(err)
 				}
 				if i&3 == 3 {
-					ls.Net.Tick()
+					mustStep(b, n)
 				}
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 			b.StopTimer()
-			if err := ls.Net.CheckConservation(); err != nil {
+			if err := n.CheckConservation(); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -578,14 +579,15 @@ func BenchmarkNetThroughput(b *testing.B) {
 // never rewinds); pkts/s counts delivered packets and ticks/s the
 // simulated time covered — the figure the idle-skip buys.
 func BenchmarkFatTreeEventThroughput(b *testing.B) {
-	cfg := netsim.FatTreeExperimentConfig{
+	cfg := netsim.Scenario{
 		Routing: "ecmp_route", K: 4, Seed: 1,
-		Flows: 64, MeanGapTicks: 200, MaxPkts: 64,
+		HeavyTailed: &workload.HeavyTailedConfig{Flows: 64, MeanGapTicks: 200, MaxPkts: 64},
 	}
-	ft, _, err := cfg.Build()
+	f, err := cfg.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
+	ft := f.(*netsim.FatTree)
 	base := cfg.Trace()
 	var delivered, ticks int64
 	b.ResetTimer()
@@ -728,43 +730,44 @@ func BenchmarkFabricBuild(b *testing.B) {
 func BenchmarkTelemetryNetThroughput(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
-			cfg := netsim.ExperimentConfig{Routing: "ecmp_route", Seed: 1, INT: true}
+			cfg := netsim.Scenario{Routing: "ecmp_route", Seed: 1, INT: true}
 			if mode == "on" {
 				cfg.Telemetry = telemetry.NewRegistry()
 				cfg.Ring = telemetry.NewRing(4096, 16, 1)
 			}
-			ls, _, err := cfg.Build()
+			f, err := cfg.Build()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := ls.Net.MapHosts(ls.Hosts); err != nil {
+			n := f.Network()
+			if err := n.MapHosts(f.HostIDs()); err != nil {
 				b.Fatal(err)
 			}
 			pkts := cfg.Trace().Packets
 			for i := range pkts {
-				if err := ls.Net.InjectNow(&pkts[i]); err != nil {
+				if err := n.InjectNow(&pkts[i]); err != nil {
 					b.Fatal(err)
 				}
 				if i&3 == 3 {
-					ls.Net.Tick()
+					mustStep(b, n)
 				}
 			}
-			if err := ls.Net.Drain(1 << 20); err != nil {
+			if err := n.Drain(1 << 20); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := ls.Net.InjectNow(&pkts[i%len(pkts)]); err != nil {
+				if err := n.InjectNow(&pkts[i%len(pkts)]); err != nil {
 					b.Fatal(err)
 				}
 				if i&3 == 3 {
-					ls.Net.Tick()
+					mustStep(b, n)
 				}
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 			b.StopTimer()
-			if err := ls.Net.CheckConservation(); err != nil {
+			if err := n.CheckConservation(); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -778,23 +781,19 @@ func BenchmarkTelemetryNetThroughput(b *testing.B) {
 // replays in a loop via Transport.Reset; the metric counts exactly-once
 // acceptances. After warmup the whole loop allocates nothing.
 func BenchmarkReliableNetThroughput(b *testing.B) {
-	cfg := netsim.ExperimentConfig{Routing: "ecmp_route", Seed: 1, ECN: true}
-	ls, _, err := cfg.Build()
+	r, err := netsim.Scenario{
+		Routing: "ecmp_route", Seed: 1, ECN: true,
+		Transport: &netsim.TransportConfig{Seed: 1},
+	}.Start()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := ls.Net.SetTrace(cfg.Trace(), ls.Hosts); err != nil {
-		b.Fatal(err)
-	}
-	tp, err := ls.Net.EnableTransport(netsim.TransportConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	n, tp := r.Net, r.Transport
 	// Warmup: one full reliable replay sizes every pool and ring.
-	if err := ls.Net.Drain(1 << 20); err != nil {
+	if err := n.Drain(1 << 20); err != nil {
 		b.Fatal(err)
 	}
-	start := ls.Net.Totals().AcceptedPkts
+	start := n.Totals().AcceptedPkts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -803,12 +802,21 @@ func BenchmarkReliableNetThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		ls.Net.Tick()
+		mustStep(b, n)
 	}
-	accepted := ls.Net.Totals().AcceptedPkts - start
+	accepted := n.Totals().AcceptedPkts - start
 	b.ReportMetric(float64(accepted)/b.Elapsed().Seconds(), "pkts/s")
 	b.StopTimer()
-	if err := ls.Net.CheckConservation(); err != nil {
+	if err := n.CheckConservation(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// mustStep advances the fabric one tick; a wiring or watchdog error fails
+// the benchmark.
+func mustStep(b *testing.B, n *netsim.Network) {
+	b.Helper()
+	if err := n.Step(); err != nil {
 		b.Fatal(err)
 	}
 }

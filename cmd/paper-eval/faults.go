@@ -16,8 +16,6 @@ import (
 )
 
 func faultsExperiment(seed int64) {
-	cfg := netsim.FaultExperimentConfig{}
-	cfg.Seed = seed
 	fmt.Println("== Routing under a core-link failure (leaf-0 uplink to spine-0 down, then restored) ==")
 	fmt.Println("   rate is data packets sunk per tick; recovery = during/before;")
 	fmt.Println("   imbalance is (max-min)/mean over core-link bytes moved in the window")
@@ -25,13 +23,12 @@ func faultsExperiment(seed int64) {
 	fmt.Printf("%-16s %8s %8s %8s %9s %9s %11s %11s %7s\n",
 		"routing", "before", "during", "after", "recovery", "post-rec", "imb during", "blackholed", "drops")
 	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
-		cfg.Routing = routing
-		res, err := netsim.RunLeafSpineFaults(cfg)
+		res, err := netsim.RunCoreOutage(netsim.Scenario{Routing: routing, Seed: seed})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%-16s %8.3f %8.3f %8.3f %9.3f %9.3f %11.3f %11d %7d\n",
-			res.Routing, res.Before.Rate, res.During.Rate, res.After.Rate,
+			routing, res.Before.Rate, res.During.Rate, res.After.Rate,
 			res.Recovery, res.PostRecovery, res.During.CoreImbalance,
 			res.Totals.BlackholedPkts, res.Totals.DroppedPkts)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"domino/internal/netsim"
+	"domino/internal/workload"
 )
 
 func fctExperiment(k int, seed int64) {
@@ -35,26 +36,27 @@ func fctExperiment(k int, seed int64) {
 		fmt.Printf("   (conga_route skipped: %d edges exceed its 64-leaf table)\n\n", k*k/2)
 	}
 
-	cfg := func(routing string) netsim.FatTreeExperimentConfig {
-		return netsim.FatTreeExperimentConfig{
+	cfg := func(routing string) netsim.Scenario {
+		return netsim.Scenario{
 			Routing: routing, K: k, Seed: seed,
-			MeanGapTicks: 96, MaxPkts: 256,
+			HeavyTailed: &workload.HeavyTailedConfig{MeanGapTicks: 96, MaxPkts: 256},
 		}
 	}
 
 	fmt.Printf("%-16s %8s %8s %8s %8s %9s %12s %10s %7s\n",
 		"routing", "fct p50", "fct p95", "fct p99", "fct max", "mice p99", "elephant p99", "delivered", "drops")
 	for _, routing := range routings {
-		res, err := netsim.RunFatTreeFCT(cfg(routing))
+		res, err := netsim.RunScenario(cfg(routing))
 		if err != nil {
 			fatal(err)
 		}
-		if res.Completed != res.Flows {
-			fatal(fmt.Errorf("%s: only %d of %d flows completed", routing, res.Completed, res.Flows))
+		fct := res.FCT
+		if fct.Completed != fct.Flows {
+			fatal(fmt.Errorf("%s: only %d of %d flows completed", routing, fct.Completed, fct.Flows))
 		}
 		fmt.Printf("%-16s %8d %8d %8d %8d %9d %12d %10d %7d\n",
-			res.Routing, res.FCTP50, res.FCTP95, res.FCTP99, res.FCTMax,
-			res.MiceP99, res.ElephantP99, res.Delivered, res.Dropped)
+			routing, fct.P50, fct.P95, fct.P99, fct.Max,
+			fct.MiceP99, fct.ElephantP99, res.Totals.DeliveredPkts, res.Totals.DroppedPkts)
 	}
 	fmt.Println()
 
@@ -65,14 +67,11 @@ func fctExperiment(k int, seed int64) {
 	c := cfg(routings[0])
 
 	build := func() *netsim.Network {
-		ft, _, err := c.Build()
+		r, err := c.Start()
 		if err != nil {
 			fatal(err)
 		}
-		if err := ft.Net.SetTrace(c.Trace(), ft.Hosts); err != nil {
-			fatal(err)
-		}
-		return ft.Net
+		return r.Net
 	}
 
 	// Collect before each timed replay, so that neither is charged for the
@@ -80,7 +79,7 @@ func fctExperiment(k int, seed int64) {
 	evN := build()
 	runtime.GC()
 	start := time.Now()
-	if err := evN.Drain(1 << 22); err != nil {
+	if err := evN.Drain(netsim.DrainLimit); err != nil {
 		fatal(err)
 	}
 	evWall := time.Since(start)

@@ -17,7 +17,7 @@
 //	paper-eval -soak 1000      # chaos soak: N seeded random gray-failure schedules
 //	paper-eval -fct            # fat-tree FCT percentiles + event-core speedup
 //	paper-eval -k 8            # fat-tree arity for -fct (even, ≥2)
-//	paper-eval -seed 7         # reseed the -faults / -reliable / -telemetry / -soak scenarios
+//	paper-eval -seed 7         # reseed the -net / -faults / -reliable / -telemetry / -soak / -fct scenarios
 //	paper-eval -pprof cpu.out  # write a CPU profile of the requested reports
 //
 // Unknown flags or values exit non-zero with a message on stderr.
@@ -71,7 +71,7 @@ func run(args []string) error {
 	soakRuns := fs.Int("soak", 0, "chaos soak: run this many seeded random gray-failure schedules")
 	fctFlag := fs.Bool("fct", false, "run the fat-tree FCT experiment (heavy-tailed flows, event core)")
 	kArity := fs.Int("k", 8, "fat-tree arity for -fct (even, >= 2)")
-	seed := fs.Int64("seed", 1, "seed for the -faults, -reliable, -telemetry and -soak scenarios")
+	seed := fs.Int64("seed", 1, "seed for the -net, -faults, -reliable, -telemetry, -soak and -fct scenarios")
 	pprofFile := fs.String("pprof", "", "write a CPU profile of the requested reports to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,6 +88,18 @@ func run(args []string) error {
 	if *kArity < 2 || *kArity%2 != 0 {
 		return fmt.Errorf("fat-tree arity must be even and >= 2, got %d", *kArity)
 	}
+	// Names are checked before anything runs: a typo must not cost a soak.
+	tables := map[string]func(){
+		"3": table3, "4": table4, "5": table5, "6": table6,
+		"compile-time": compileTime, "resources": resources,
+	}
+	figures := map[string]func(){"3": figure3, "passes": figurePasses, "9": figure9}
+	if _, ok := tables[*table]; !ok && *table != "" {
+		return fmt.Errorf("unknown table %q (want 3, 4, 5, 6, compile-time, resources)", *table)
+	}
+	if _, ok := figures[*figure]; !ok && *figure != "" {
+		return fmt.Errorf("unknown figure %q (want 3, passes, 9)", *figure)
+	}
 	if *pprofFile != "" {
 		f, err := os.Create(*pprofFile)
 		if err != nil {
@@ -100,101 +112,45 @@ func run(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	more := func() bool {
-		return *table != "" || *figure != "" || *schedFlag || *tput || *optFlag
+	experiments := []struct {
+		on     bool
+		report func()
+	}{
+		{*fctFlag, func() { fctExperiment(*kArity, *seed) }},
+		{*soakRuns > 0, func() { soakExperiment(*soakRuns, *seed) }},
+		{*telemetryFlag, func() { telemetryExperiment(*seed) }},
+		{*reliableFlag, func() { reliableExperiment(*seed) }},
+		{*faultsFlag, func() { faultsExperiment(*seed) }},
+		{*netFlag, func() { netExperiment(*seed) }},
+		// The optimizer's effect belongs next to the throughput it buys.
+		{*tput, func() { throughput(); optReport() }},
+		{*optFlag && !*tput, optReport},
+		{*schedFlag, sched},
 	}
-	if *fctFlag {
-		fctExperiment(*kArity, *seed)
-		if !more() && !*netFlag && !*faultsFlag && !*reliableFlag && !*telemetryFlag && *soakRuns == 0 {
-			return nil
-		}
-	}
-	if *soakRuns > 0 {
-		soakExperiment(*soakRuns, *seed)
-		if !more() && !*netFlag && !*faultsFlag && !*reliableFlag && !*telemetryFlag {
-			return nil
-		}
-	}
-	if *telemetryFlag {
-		telemetryExperiment(*seed)
-		if !more() && !*netFlag && !*faultsFlag && !*reliableFlag {
-			return nil
-		}
-	}
-	if *reliableFlag {
-		reliableExperiment(*seed)
-		if !more() && !*netFlag && !*faultsFlag {
-			return nil
-		}
-	}
-	if *faultsFlag {
-		faultsExperiment(*seed)
-		if !more() && !*netFlag {
-			return nil
-		}
-	}
-	if *netFlag {
-		netExperiment()
-		if !more() {
-			return nil
-		}
-	}
-
-	if *tput {
-		throughput()
-		optReport() // the optimizer's effect belongs next to the throughput it buys
-		if *table == "" && *figure == "" && !*schedFlag {
-			return nil
-		}
-	} else if *optFlag {
-		optReport()
-		if *table == "" && *figure == "" && !*schedFlag {
-			return nil
-		}
-	}
-	if *schedFlag {
-		sched()
-		if *table == "" && *figure == "" {
-			return nil
+	ran := false
+	for _, e := range experiments {
+		if e.on {
+			e.report()
+			ran = true
 		}
 	}
 	if *table == "" && *figure == "" {
-		table3()
-		table4()
-		table5()
-		table6()
-		compileTime()
-		resources()
-		figure3()
+		if !ran {
+			table3()
+			table4()
+			table5()
+			table6()
+			compileTime()
+			resources()
+			figure3()
+		}
 		return nil
 	}
-	switch *table {
-	case "3":
-		table3()
-	case "4":
-		table4()
-	case "5":
-		table5()
-	case "6":
-		table6()
-	case "compile-time":
-		compileTime()
-	case "resources":
-		resources()
-	case "":
-	default:
-		return fmt.Errorf("unknown table %q (want 3, 4, 5, 6, compile-time, resources)", *table)
+	if report := tables[*table]; report != nil {
+		report()
 	}
-	switch *figure {
-	case "3":
-		figure3()
-	case "passes":
-		figurePasses()
-	case "9":
-		figure9()
-	case "":
-	default:
-		return fmt.Errorf("unknown figure %q (want 3, passes, 9)", *figure)
+	if report := figures[*figure]; report != nil {
+		report()
 	}
 	return nil
 }

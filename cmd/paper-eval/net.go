@@ -15,7 +15,7 @@ import (
 	"domino/internal/netsim"
 )
 
-func netExperiment() {
+func netExperiment(seed int64) {
 	fmt.Println("== Leaf-spine load balance (4 leaves × 2 spines, cross-leaf permutation matrix) ==")
 	fmt.Println("   routing runs as a Domino transaction in each leaf's ingress pipeline;")
 	fmt.Println("   imbalance is (max-min)/mean over core-link bytes, lower is better")
@@ -23,13 +23,13 @@ func netExperiment() {
 	fmt.Printf("%-16s %10s %12s %10s %10s %10s %9s %7s\n",
 		"routing", "imbalance", "max core uti", "fct mean", "fct p95", "fct max", "delivered", "drops")
 	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
-		res, err := netsim.RunLeafSpine(netsim.ExperimentConfig{Routing: routing, Seed: 1})
+		res, err := netsim.RunScenario(netsim.Scenario{Routing: routing, Seed: seed})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("%-16s %10.3f %12.3f %10.1f %10d %10d %9d %7d\n",
-			res.Routing, res.Imbalance, res.MaxCoreUtil,
-			res.FCTMean, res.FCTP95, res.FCTMax, res.Delivered, res.Dropped)
+			routing, res.Imbalance, res.MaxCoreUtil,
+			res.FCT.Mean, res.FCT.P95, res.FCT.Max, res.Totals.DeliveredPkts, res.Totals.DroppedPkts)
 	}
 	fmt.Println()
 	fmt.Println("   ECMP pins each flow to one hashed path, so colliding elephants stay")

@@ -18,9 +18,6 @@ import (
 )
 
 func reliableExperiment(seed int64) {
-	cfg := netsim.ReliableExperimentConfig{}
-	cfg.Seed = seed
-	cfg.Transport.Seed = seed
 	fmt.Println("== Reliable transport under gray failure: outage + corruption +")
 	fmt.Println("   reorder + duplication + flap storm + mid-outage switch restart ==")
 	fmt.Println("   delivered is the exactly-once fraction of offered trace packets;")
@@ -40,16 +37,18 @@ func reliableExperiment(seed int64) {
 		return fmt.Sprintf("%d", t)
 	}
 	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
-		cfg.Routing = routing
-		res, err := netsim.RunLeafSpineReliable(cfg)
+		modes, err := netsim.RunGrayFailure(netsim.Scenario{
+			Routing: routing, Seed: seed,
+			Transport: &netsim.TransportConfig{Seed: seed},
+		})
 		if err != nil {
 			fatal(err)
 		}
-		for _, st := range []*netsim.ReliableRunStats{&res.Raw, &res.RelRTO, &res.Reliable} {
+		for _, st := range modes {
 			fmt.Printf("%-16s %-9s %9.4f%% %9.4f %7d %7d %8d %8.1f %9s %9d\n",
-				res.Routing, st.Mode, 100*st.DeliveredFrac, st.RetransOverhead,
-				st.FastRetransPkts, st.DupDroppedPkts, st.GivenUpPkts, st.MeanAckTicks,
-				recovery(st.RecoveryTicks), st.BlackholedPkts)
+				routing, st.Mode, 100*st.DeliveredFrac, st.RetransOverhead,
+				st.Transport.FastRetransPkts, st.Totals.DupDroppedPkts, st.Transport.GivenUpPkts, st.MeanAckTicks,
+				recovery(st.RecoveryTicks), st.Totals.BlackholedPkts)
 		}
 	}
 	fmt.Println()

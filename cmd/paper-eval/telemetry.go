@@ -30,14 +30,11 @@ func telemetryExperiment(seed int64) {
 	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
 		reg := telemetry.NewRegistry()
 		ring := telemetry.NewRing(4096, 8, uint64(seed))
-		cfg := netsim.FaultExperimentConfig{}
-		cfg.Seed = seed
-		cfg.Routing = routing
-		cfg.INT = true
-		cfg.ECN = true
-		cfg.Telemetry = reg
-		cfg.Ring = ring
-		res, err := netsim.RunLeafSpineFaults(cfg)
+		res, err := netsim.RunCoreOutage(netsim.Scenario{
+			Routing: routing, Seed: seed,
+			INT: true, ECN: true,
+			Telemetry: reg, Ring: ring,
+		})
 		if err != nil {
 			fatal(err)
 		}
@@ -46,7 +43,7 @@ func telemetryExperiment(seed int64) {
 		// Which paths carried the data: the INT digests, decoded against
 		// the topology. A rerouting policy shifts weight off the failed
 		// leaf0>spine0 uplink during the outage; ECMP cannot.
-		paths := res.LS.NamedPathCounts()
+		paths := res.Fabric.(*netsim.LeafSpine).NamedPathCounts()
 		var total int64
 		for _, pc := range paths {
 			total += pc.Pkts

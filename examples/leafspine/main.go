@@ -26,23 +26,23 @@ func main() {
 	fmt.Printf("%-18s %12s %14s %10s %10s\n",
 		"routing policy", "imbalance", "max core util", "fct mean", "fct p95")
 
-	var results []*netsim.ExperimentResult
-	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
-		res, err := netsim.RunLeafSpine(netsim.ExperimentConfig{Routing: routing, Seed: 42})
+	routings := []string{"ecmp_route", "flowlet_route", "conga_route"}
+	var results []*netsim.Result
+	for _, routing := range routings {
+		// RunScenario drains the run under the conservation and
+		// pool-leak oracles before it summarizes.
+		res, err := netsim.RunScenario(netsim.Scenario{Routing: routing, Seed: 42})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := res.LS.Net.CheckConservation(); err != nil {
-			log.Fatal(err)
-		}
 		fmt.Printf("%-18s %12.3f %14.3f %10.1f %10d\n",
-			res.Routing, res.Imbalance, res.MaxCoreUtil, res.FCTMean, res.FCTP95)
+			routing, res.Imbalance, res.MaxCoreUtil, res.FCT.Mean, res.FCT.P95)
 		results = append(results, res)
 	}
 
 	fmt.Println("\nper-core-link bytes (leaf↔spine, both directions):")
-	for _, res := range results {
-		fmt.Printf("%-18s", res.Routing)
+	for i, res := range results {
+		fmt.Printf("%-18s", routings[i])
 		for _, b := range res.CoreBytes {
 			fmt.Printf(" %8d", b)
 		}
@@ -61,16 +61,13 @@ func main() {
 	fmt.Println("\nwith a seeded core-link failure (leaf-0 → spine-0 down mid-run):")
 	fmt.Printf("%-18s %10s %10s %10s %10s\n",
 		"routing policy", "before", "during", "after", "recovery")
-	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
-		cfg := netsim.FaultExperimentConfig{}
-		cfg.Routing = routing
-		cfg.Seed = 42
-		res, err := netsim.RunLeafSpineFaults(cfg)
+	for _, routing := range routings {
+		res, err := netsim.RunCoreOutage(netsim.Scenario{Routing: routing, Seed: 42})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18s %10.3f %10.3f %10.3f %10.3f\n",
-			res.Routing, res.Before.Rate, res.During.Rate, res.After.Rate, res.Recovery)
+			routing, res.Before.Rate, res.During.Rate, res.After.Rate, res.Recovery)
 	}
 	fmt.Println("\nrates are data packets sunk per tick; recovery = during/before. The")
 	fmt.Println("fault harness pokes each leaf's port_up state array at the up/down")
@@ -84,22 +81,19 @@ func main() {
 	fmt.Println("\nwith reliable host transport under the outage + 5‰ corruption:")
 	fmt.Printf("%-18s %-9s %11s %9s %9s %9s\n",
 		"routing policy", "mode", "delivered", "overhead", "givenup", "recovery")
-	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
-		cfg := netsim.ReliableExperimentConfig{}
-		cfg.Routing = routing
-		cfg.Seed = 42
-		res, err := netsim.RunLeafSpineReliable(cfg)
+	for _, routing := range routings {
+		modes, err := netsim.RunGrayFailure(netsim.Scenario{Routing: routing, Seed: 42})
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, st := range []*netsim.ReliableRunStats{&res.Raw, &res.RelRTO, &res.Reliable} {
+		for _, st := range modes {
 			rec := "never"
 			if st.RecoveryTicks >= 0 {
 				rec = fmt.Sprintf("%d", st.RecoveryTicks)
 			}
 			fmt.Printf("%-18s %-9s %10.4f%% %9.4f %9d %9s\n",
-				res.Routing, st.Mode, 100*st.DeliveredFrac, st.RetransOverhead,
-				st.GivenUpPkts, rec)
+				routing, st.Mode, 100*st.DeliveredFrac, st.RetransOverhead,
+				st.Transport.GivenUpPkts, rec)
 		}
 	}
 	fmt.Println("\ndelivered is the exactly-once fraction of offered packets (the sink")
@@ -117,17 +111,16 @@ func main() {
 	fmt.Println("\nwith in-band telemetry (int_stamp in every switch program, ECMP run):")
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewRing(1024, 8, 42)
-	cfg := netsim.ExperimentConfig{
+	res, err := netsim.RunScenario(netsim.Scenario{
 		Routing: "ecmp_route", Seed: 42,
 		INT: true, ECN: true,
 		Telemetry: reg, Ring: ring,
-	}
-	res, err := netsim.RunLeafSpine(cfg)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-22s %10s\n", "path (decoded digest)", "pkts")
-	for _, pc := range res.LS.NamedPathCounts() {
+	for _, pc := range res.Fabric.(*netsim.LeafSpine).NamedPathCounts() {
 		fmt.Printf("%-22s %10d\n", pc.Name, pc.Pkts)
 	}
 	hops := reg.Histogram("int.hops")

@@ -206,7 +206,7 @@ func TestRestartLeavesServiceSet(t *testing.T) {
 	}
 	injectBurst(t, ls, 20)
 	for n.Now() < 4 {
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
 	if !inServiceSet(n, leaf) {
@@ -218,7 +218,7 @@ func TestRestartLeavesServiceSet(t *testing.T) {
 		t.Fatalf("setup: %d packets queued at the leaf before the restart, want 16", backlog.QueuedPkts)
 	}
 
-	n.Tick() // tick 5: the restart flushes the leaf before anything is served
+	mustStep(t, n) // tick 5: the restart flushes the leaf before anything is served
 	checkNet(t, n)
 	after := n.runningTotals()
 	if after != n.Totals() {
@@ -303,7 +303,7 @@ func TestScrambledIdleSwitchRepublishesDepths(t *testing.T) {
 		t.Fatal("setup: ScrambleState left queue_depth all zero")
 	}
 	for n.Now() < 3 {
-		n.Tick()
+		mustStep(t, n)
 	}
 	for p := 0; p < w.qdPorts; p++ {
 		if v, ok := m.PeekState(algorithms.ECNQueueState, p); !ok || v != 0 {
@@ -332,7 +332,7 @@ func TestRestartRepokesStateThroughHandles(t *testing.T) {
 			name = "scramble"
 		}
 		t.Run(name, func(t *testing.T) {
-			c := ExperimentConfig{Routing: "flowlet_route", Leaves: 2, Spines: 2, HostsPerLeaf: 1,
+			c := Scenario{Routing: "flowlet_route", Leaves: 2, Spines: 2, HostsPerLeaf: 1,
 				ECN: true, ECNThresholdBytes: 1, INT: true,
 				UplinkBytesPerTick: 1500, DownlinkBytesPerTick: 1500, LinkDelay: 1}
 			ls := buildTiny(t, c)
@@ -367,7 +367,7 @@ func TestRestartRepokesStateThroughHandles(t *testing.T) {
 			}
 
 			for n.Now() < 10 {
-				n.Tick()
+				mustStep(t, n)
 			}
 			m := n.nodes[leaf0].sw.sw.Machine()
 			for port, want := range []int32{0, 1} {
@@ -417,12 +417,12 @@ func TestLinkDownKeepsRunningInFlight(t *testing.T) {
 	}
 	injectBurst(t, ls, 20)
 	for n.Now() < 3 {
-		n.Tick()
+		mustStep(t, n)
 	}
 	if got := n.runningTotals().InFlightPkts; got != 3 {
 		t.Fatalf("setup: %d packets in flight before the link dies, want 3", got)
 	}
-	n.Tick()
+	mustStep(t, n)
 	rt, tot := n.runningTotals(), n.Totals()
 	if rt != tot {
 		t.Fatalf("running totals %+v differ from the from-scratch sum %+v", rt, tot)
@@ -440,10 +440,7 @@ func TestLinkDownKeepsRunningInFlight(t *testing.T) {
 func crossPodFlow(t *testing.T, k int, polled bool) (services, deliveries, hops, steps int64) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	ft, _, err := FatTreeExperimentConfig{Routing: "ecmp_route", K: k, Telemetry: reg}.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft := buildFT(t, Scenario{Routing: "ecmp_route", K: k, Telemetry: reg})
 	n := ft.Net
 	const pkts = 40
 	tr := &workload.NetTrace{NumFlows: 1, FlowPkts: []int32{pkts}, FlowBytes: []int64{pkts * 1500}, FlowStart: []int64{1}}
@@ -525,7 +522,7 @@ func TestGhostWakeupsCounted(t *testing.T) {
 		injectBurst(t, ls, 4)
 		if polled {
 			for n.Now() < 60 || !n.idle() {
-				n.Tick()
+				mustStep(t, n)
 			}
 		} else if err := n.Drain(1 << 12); err != nil {
 			t.Fatal(err)

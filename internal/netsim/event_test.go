@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"domino/internal/workload"
 )
 
 // evtRun is one driver execution's observable outcome.
@@ -51,18 +53,7 @@ func driveDiff(t *testing.T, sc evtScenario) {
 		n, tp := sc.build(t)
 		var r evtRun
 		r.digest = splitmix64(0x9e37)
-		n.OnDeliver = func(ev Delivery) {
-			h := r.digest
-			h = splitmix64(h ^ uint64(ev.Host)<<32 ^ uint64(uint32(ev.Flow)))
-			h = splitmix64(h ^ uint64(uint32(ev.Seq))<<16 ^ uint64(uint32(ev.Size)))
-			if ev.Fb {
-				h = splitmix64(h ^ 0xfb)
-			}
-			if ev.Dup {
-				h = splitmix64(h ^ 0xd0d0)
-			}
-			r.digest = splitmix64(h ^ uint64(n.Now()))
-		}
+		n.digestDeliveries(&r.digest)
 		if sc.faultTicks > 0 {
 			if event {
 				if err := n.Run(n.Now() + sc.faultTicks); err != nil {
@@ -150,16 +141,9 @@ func driveDiff(t *testing.T, sc evtScenario) {
 
 // buildLeafSpine constructs the standard experiment fabric with its
 // cross-leaf permutation trace installed.
-func buildLeafSpine(t *testing.T, ec ExperimentConfig) *Network {
+func buildLeafSpine(t *testing.T, ec Scenario) *Network {
 	t.Helper()
-	ls, _, err := ec.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	if err := ls.Net.SetTrace(ec.Trace(), ls.Hosts); err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	return ls.Net
+	return mustStart(t, ec).Net
 }
 
 func TestEventCoreDifferentialHealthy(t *testing.T) {
@@ -170,7 +154,7 @@ func TestEventCoreDifferentialHealthy(t *testing.T) {
 			driveDiff(t, evtScenario{
 				name: routing,
 				build: func(t *testing.T) (*Network, *Transport) {
-					return buildLeafSpine(t, ExperimentConfig{
+					return buildLeafSpine(t, Scenario{
 						Routing: routing, Seed: 7,
 						FlowsPerHost: 2, PktsPerFlow: 24,
 						MeanBurst: 4, BurstGap: 60, // long idle gaps: the skipping case
@@ -186,7 +170,7 @@ func TestEventCoreDifferentialObservability(t *testing.T) {
 	driveDiff(t, evtScenario{
 		name: "ecn+int",
 		build: func(t *testing.T) (*Network, *Transport) {
-			return buildLeafSpine(t, ExperimentConfig{
+			return buildLeafSpine(t, Scenario{
 				Routing: "flowlet_route", Seed: 11,
 				FlowsPerHost: 2, PktsPerFlow: 32,
 				MeanBurst: 6, BurstGap: 50,
@@ -210,7 +194,7 @@ func TestEventCoreDifferentialFaults(t *testing.T) {
 				build: func(t *testing.T) (*Network, *Transport) {
 					seed := int64(100 + i)
 					rng := rand.New(rand.NewSource(seed))
-					ec := ExperimentConfig{
+					ec := Scenario{
 						Routing:      []string{"ecmp_route", "flowlet_route", "conga_route"}[i%3],
 						Leaves:       2 + i%2,
 						Spines:       2,
@@ -251,7 +235,7 @@ func TestEventCoreDifferentialTransport(t *testing.T) {
 		name:       "transport",
 		drainLimit: 400000,
 		build: func(t *testing.T) (*Network, *Transport) {
-			n := buildLeafSpine(t, ExperimentConfig{
+			n := buildLeafSpine(t, Scenario{
 				Routing: "ecmp_route", Seed: 21,
 				FlowsPerHost: 2, PktsPerFlow: 16,
 				MeanBurst: 4, BurstGap: 80,
@@ -274,18 +258,10 @@ func TestEventCoreDifferentialFatTree(t *testing.T) {
 		name:       "fattree-k4",
 		drainLimit: 1 << 22,
 		build: func(t *testing.T) (*Network, *Transport) {
-			fc := FatTreeExperimentConfig{
+			return mustStart(t, Scenario{
 				Routing: "ecmp_route", K: 4, Seed: 31,
-				Flows: 48, MeanGapTicks: 200, MaxPkts: 64,
-			}
-			ft, _, err := fc.Build()
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			if err := ft.Net.SetTrace(fc.Trace(), ft.Hosts); err != nil {
-				t.Fatalf("trace: %v", err)
-			}
-			return ft.Net, nil
+				HeavyTailed: &workload.HeavyTailedConfig{Flows: 48, MeanGapTicks: 200, MaxPkts: 64},
+			}).Net, nil
 		},
 	})
 }
@@ -295,7 +271,7 @@ func TestEventCoreDifferentialFatTree(t *testing.T) {
 // than simulated ticks.
 func TestEventCoreSkipsIdleTime(t *testing.T) {
 	t.Parallel()
-	n := buildLeafSpine(t, ExperimentConfig{
+	n := buildLeafSpine(t, Scenario{
 		Routing: "ecmp_route", Seed: 3,
 		FlowsPerHost: 1, PktsPerFlow: 4,
 		MeanBurst: 2, BurstGap: 500,

@@ -22,13 +22,10 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 
-	"domino/internal/algorithms"
 	"domino/internal/codegen"
 	"domino/internal/switchsim"
 	"domino/internal/telemetry"
-	"domino/internal/workload"
 )
 
 // FatTreeConfig sizes and programs a k-ary fat tree. Programs are
@@ -67,6 +64,12 @@ type FatTree struct {
 
 // K returns the fabric's arity.
 func (ft *FatTree) K() int { return ft.cfg.K }
+
+// Network, HostIDs and LeafIDs make *FatTree a Fabric; its host-facing
+// tier is the edges.
+func (ft *FatTree) Network() *Network { return ft.Net }
+func (ft *FatTree) HostIDs() []NodeID { return ft.Hosts }
+func (ft *FatTree) LeafIDs() []NodeID { return ft.Edges }
 
 // NewFatTree builds and fully wires a k-ary fat tree.
 func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
@@ -165,228 +168,4 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		}
 	}
 	return ft, nil
-}
-
-// FatTreeExperimentConfig parameterizes one RunFatTreeFCT call: a k-ary
-// fat tree running one edge routing policy under a heavy-tailed
-// (web-search/Hadoop-style) flow-arrival workload, reporting flow
-// completion times. Zero values take the bracketed defaults.
-type FatTreeExperimentConfig struct {
-	Routing string // edge routing catalog name (ecmp_route, flowlet_route, conga_route)
-	K       int    // fat-tree arity [4]
-
-	Seed  int64
-	Flows int // flow arrivals [8 × hosts]
-	// Workload shape (see workload.HeavyTailedConfig).
-	MeanGapTicks     float64 // mean flow inter-arrival [64]
-	Alpha            float64 // Pareto tail exponent [1.1]
-	MinPkts, MaxPkts int     // flow size bounds, packets [1, 1000]
-	PacketBytes      int32   // MTU [1500]
-
-	UplinkBytesPerTick   int64 // switch↔switch capacity [3000]
-	DownlinkBytesPerTick int64 // edge→host capacity [6000]
-	LinkDelay            int64 // [1]
-	QueueCapBytes        int64 // [1 << 20]
-
-	ECN               bool
-	ECNThresholdBytes int32
-	INT               bool
-
-	Telemetry telemetry.Sink
-	Ring      *telemetry.Ring
-
-	DrainLimit int64 // safety bound on total ticks [1 << 22]
-}
-
-func (c *FatTreeExperimentConfig) setDefaults() {
-	if c.K == 0 {
-		c.K = 4
-	}
-	if c.Flows == 0 {
-		c.Flows = 8 * c.K * c.K * c.K / 4
-	}
-	if c.MeanGapTicks == 0 {
-		c.MeanGapTicks = 64
-	}
-	if c.PacketBytes == 0 {
-		c.PacketBytes = 1500
-	}
-	if c.UplinkBytesPerTick == 0 {
-		c.UplinkBytesPerTick = 3000
-	}
-	if c.DownlinkBytesPerTick == 0 {
-		c.DownlinkBytesPerTick = 6000
-	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = 1
-	}
-	if c.QueueCapBytes == 0 {
-		c.QueueCapBytes = 1 << 20
-	}
-	if c.DrainLimit == 0 {
-		c.DrainLimit = 1 << 22
-	}
-}
-
-// Trace builds the experiment's heavy-tailed workload over the fabric's
-// host count.
-func (c FatTreeExperimentConfig) Trace() *workload.NetTrace {
-	c.setDefaults()
-	return workload.HeavyTailedTrace(c.Seed, workload.HeavyTailedConfig{
-		Hosts: c.K * c.K * c.K / 4, Flows: c.Flows,
-		MeanGapTicks: c.MeanGapTicks, Alpha: c.Alpha,
-		MinPkts: c.MinPkts, MaxPkts: c.MaxPkts, Size: c.PacketBytes,
-	})
-}
-
-// Build constructs the fat tree for the configured routing policy
-// without running it — the entry point for callers that drive the
-// network themselves (the tick-vs-event differential, benchmarks).
-func (c FatTreeExperimentConfig) Build() (*FatTree, *algorithms.RoutingAlg, error) {
-	c.setDefaults()
-	r, err := algorithms.RoutingByName(c.Routing)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !r.Leaf {
-		return nil, nil, fmt.Errorf("netsim: %q is not a leaf routing policy", c.Routing)
-	}
-	half := c.K / 2
-	numEdges := c.K * half
-	podHosts := half * half
-	obs := func(p algorithms.RouteParams) algorithms.RouteParams {
-		p.ECN, p.ECNThresholdBytes, p.INT = c.ECN, c.ECNThresholdBytes, c.INT
-		return p
-	}
-	compile := func(src string, err error) (*codegen.Program, error) {
-		if err != nil {
-			return nil, err
-		}
-		return codegen.CompileLeastSource(src)
-	}
-	// Cores share one compiled program (identity is positional), as do
-	// the k/2 aggs of each pod — copy-fast-path bridges within each tier.
-	coreProg, err := compile(algorithms.SpineRouteSource(obs(algorithms.RouteParams{
-		LeafID: 0, Leaves: c.K, Spines: half, HostsPerLeaf: podHosts,
-	})))
-	if err != nil {
-		return nil, nil, err
-	}
-	ft, err := NewFatTree(FatTreeConfig{
-		K: c.K,
-		EdgeProgram: func(edge int) (*codegen.Program, error) {
-			return compile(r.Source(obs(algorithms.RouteParams{
-				LeafID: edge, Leaves: numEdges, Spines: half, HostsPerLeaf: half,
-			})))
-		},
-		AggProgram: func(pod int) (*codegen.Program, error) {
-			return compile(algorithms.FatAggRouteSource(obs(algorithms.RouteParams{
-				LeafID: pod, Leaves: c.K, Spines: half, HostsPerLeaf: half,
-			})))
-		},
-		CoreProgram:          func(int) (*codegen.Program, error) { return coreProg, nil },
-		UplinkBytesPerTick:   c.UplinkBytesPerTick,
-		DownlinkBytesPerTick: c.DownlinkBytesPerTick,
-		LinkDelay:            c.LinkDelay,
-		QueueCapBytes:        c.QueueCapBytes,
-		RouteField:           algorithms.RouteOutPort,
-		Telemetry:            c.Telemetry,
-		Trace:                c.Ring,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	ft.Net.Feedback = r.Feedback
-	return ft, &r, nil
-}
-
-// FatTreeFCTResult is one heavy-tailed fat-tree run's summary. The size
-// split follows the evaluation convention: mice are flows under 10
-// packets (latency-bound), elephants 100 packets and up.
-type FatTreeFCTResult struct {
-	Routing string
-	K       int
-	FT      *FatTree
-
-	Ticks int64 // simulated ticks
-	Steps int64 // processed steps (Ticks − Steps = skipped idle)
-
-	Flows, Completed   int
-	FCTP50, FCTP95     int64
-	FCTP99, FCTMax     int64
-	MiceP99            int64 // p99 FCT over flows < 10 pkts (-1 if none)
-	ElephantP99        int64 // p99 FCT over flows >= 100 pkts (-1 if none)
-	Injected, Dropped  int64
-	Delivered          int64
-	OfferedBytesPerSec float64 // offered load ÷ ticks, bytes/tick
-}
-
-// pctile returns the p-th percentile of sorted (ascending) samples.
-func pctile(sorted []int64, p int) int64 {
-	if len(sorted) == 0 {
-		return -1
-	}
-	return sorted[(len(sorted)*p)/100]
-}
-
-// RunFatTreeFCT builds the fabric, replays the heavy-tailed trace to
-// completion with the event core, checks conservation and summarizes
-// flow completion times.
-func RunFatTreeFCT(c FatTreeExperimentConfig) (*FatTreeFCTResult, error) {
-	c.setDefaults()
-	ft, _, err := c.Build()
-	if err != nil {
-		return nil, err
-	}
-	tr := c.Trace()
-	if err := ft.Net.SetTrace(tr, ft.Hosts); err != nil {
-		return nil, err
-	}
-	if err := ft.Net.Drain(c.DrainLimit); err != nil {
-		return nil, err
-	}
-	if err := ft.Net.CheckConservation(); err != nil {
-		return nil, fmt.Errorf("netsim: fat-tree %s run leaked packets: %w", c.Routing, err)
-	}
-
-	res := &FatTreeFCTResult{
-		Routing: c.Routing, K: c.K, FT: ft,
-		Ticks: ft.Net.Now(), Steps: ft.Net.Steps(),
-	}
-	var all, mice, elephants []int64
-	for f, fct := range ft.Net.FlowFCTs() {
-		res.Flows++
-		if fct < 0 {
-			continue
-		}
-		all = append(all, fct)
-		switch pkts := tr.FlowPkts[f]; {
-		case pkts < 10:
-			mice = append(mice, fct)
-		case pkts >= 100:
-			elephants = append(elephants, fct)
-		}
-	}
-	res.Completed = len(all)
-	for _, s := range [][]int64{all, mice, elephants} {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	res.FCTP50, res.FCTP95, res.FCTP99 = pctile(all, 50), pctile(all, 95), pctile(all, 99)
-	res.FCTMax = -1
-	if len(all) > 0 {
-		res.FCTMax = all[len(all)-1]
-	}
-	res.MiceP99 = pctile(mice, 99)
-	res.ElephantP99 = pctile(elephants, 99)
-
-	t := ft.Net.Totals()
-	res.Injected, res.Delivered, res.Dropped = t.InjectedPkts, t.DeliveredPkts, t.DroppedPkts
-	if res.Ticks > 0 {
-		var offered int64
-		for _, b := range tr.FlowBytes {
-			offered += b
-		}
-		res.OfferedBytesPerSec = float64(offered) / float64(res.Ticks)
-	}
-	return res, nil
 }

@@ -10,10 +10,8 @@ import (
 // faultCfg is the shared degradation-experiment shape: small enough to
 // run three routings in one test, long enough for steady load across the
 // outage windows.
-func faultCfg(routing string) FaultExperimentConfig {
-	return FaultExperimentConfig{
-		ExperimentConfig: ExperimentConfig{Routing: routing, Seed: 1},
-	}
+func faultCfg(routing string) Scenario {
+	return outageLoad(Scenario{Routing: routing, Seed: 1})
 }
 
 // TestFaultRecoveryByRouting is the acceptance experiment: with one
@@ -24,7 +22,7 @@ func faultCfg(routing string) FaultExperimentConfig {
 func TestFaultRecoveryByRouting(t *testing.T) {
 	recovery := map[string]float64{}
 	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
-		res, err := RunLeafSpineFaults(faultCfg(routing))
+		res, err := RunCoreOutage(faultCfg(routing))
 		if err != nil {
 			t.Fatalf("%s: %v", routing, err)
 		}
@@ -53,30 +51,23 @@ func TestFaultRecoveryByRouting(t *testing.T) {
 func TestFaultRunDeterminism(t *testing.T) {
 	run := func() ([]delivery, NetTotals) {
 		c := faultCfg("conga_route")
-		c.setDefaults()
-		ls, _, err := c.Build()
-		if err != nil {
-			t.Fatal(err)
+		c.Faults = func(f Fabric) *FaultSchedule {
+			ls := f.(*LeafSpine)
+			return (&FaultSchedule{Seed: 42}).
+				LinkDown(outageFail, ls.Leaves[0], 0).
+				LinkUp(outageRecover, ls.Leaves[0], 0).
+				LinkDegrade(outageFail, ls.Leaves[1], 1, 700).
+				LinkCorrupt(outageWarm, ls.Leaves[2], 0, 200).
+				LinkCorrupt(outageRecover, ls.Leaves[2], 0, 0).
+				SwitchCrash(outageFail+100, ls.Spines[1]).
+				SwitchUp(outageFail+300, ls.Spines[1])
 		}
-		if err := ls.Net.SetTrace(c.Trace(), ls.Hosts); err != nil {
-			t.Fatal(err)
-		}
-		sched := (&FaultSchedule{Seed: 42}).
-			LinkDown(c.FailTick, ls.Leaves[0], 0).
-			LinkUp(c.RecoverTick, ls.Leaves[0], 0).
-			LinkDegrade(c.FailTick, ls.Leaves[1], 1, 700).
-			LinkCorrupt(c.WarmTick, ls.Leaves[2], 0, 200).
-			LinkCorrupt(c.RecoverTick, ls.Leaves[2], 0, 0).
-			SwitchCrash(c.FailTick+100, ls.Spines[1]).
-			SwitchUp(c.FailTick+300, ls.Spines[1])
-		if err := ls.Net.SetFaults(sched); err != nil {
-			t.Fatal(err)
-		}
+		ls := mustStart(t, c).Fabric.(*LeafSpine)
 		var seq []delivery
 		ls.Net.OnDeliver = func(ev Delivery) {
 			seq = append(seq, delivery{Tick: ls.Net.Now(), Ev: ev})
 		}
-		if err := ls.Net.Drain(c.DrainLimit); err != nil {
+		if err := ls.Net.Drain(DrainLimit); err != nil {
 			t.Fatal(err)
 		}
 		checkNet(t, ls.Net)
@@ -113,18 +104,15 @@ func buildTinyFabric(t *testing.T) *LeafSpine {
 	return buildTiny(t, tinyFabricConfig())
 }
 
-func tinyFabricConfig() ExperimentConfig {
-	return ExperimentConfig{Routing: "flowlet_route", Leaves: 2, Spines: 1, HostsPerLeaf: 1,
+func tinyFabricConfig() Scenario {
+	return Scenario{Routing: "flowlet_route", Leaves: 2, Spines: 1, HostsPerLeaf: 1,
 		// Slow, long links keep packets in flight and queued at fault time.
 		UplinkBytesPerTick: 1500, DownlinkBytesPerTick: 1500, LinkDelay: 5}
 }
 
-func buildTiny(t *testing.T, c ExperimentConfig) *LeafSpine {
+func buildTiny(t *testing.T, c Scenario) *LeafSpine {
 	t.Helper()
-	ls, _, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := buildLS(t, c)
 	if err := ls.Net.MapHosts(ls.Hosts); err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +139,8 @@ func TestLinkDownBlackholesInFlight(t *testing.T) {
 	n := ls.Net
 	injectBurst(t, ls, 20)
 	// Let the leaf emit onto the uplink (delay 5): some packets in flight.
-	n.Tick()
-	n.Tick()
+	mustStep(t, n)
+	mustStep(t, n)
 	if n.Totals().InFlightPkts == 0 {
 		t.Fatal("setup: nothing in flight on the uplink")
 	}
@@ -179,7 +167,7 @@ func TestLinkDownBlackholesInFlight(t *testing.T) {
 	}
 	// Queue must hold (frozen port), then drain fully after recovery.
 	for i := 0; i < 20; i++ {
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
 	if q := n.Totals().QueuedPkts; q == 0 {
@@ -210,8 +198,8 @@ func TestDegradeMidFlight(t *testing.T) {
 	ls := buildTinyFabric(t)
 	n := ls.Net
 	injectBurst(t, ls, 20)
-	n.Tick()
-	n.Tick()
+	mustStep(t, n)
+	mustStep(t, n)
 	l := n.nodes[ls.Leaves[0]].sw.links[0]
 	n.applyFault(&FaultEvent{Kind: FaultLinkDegrade, Node: ls.Leaves[0], Port: 0, Capacity: 150})
 	if l.utilScale != 10 {
@@ -244,15 +232,15 @@ func TestDegradeToZeroStalls(t *testing.T) {
 	ls := buildTinyFabric(t)
 	n := ls.Net
 	injectBurst(t, ls, 10)
-	n.Tick()
-	n.Tick()
+	mustStep(t, n)
+	mustStep(t, n)
 	inFlight := n.Totals().InFlightPkts
 	if inFlight == 0 {
 		t.Fatal("setup: nothing in flight")
 	}
 	n.applyFault(&FaultEvent{Kind: FaultLinkDegrade, Node: ls.Leaves[0], Port: 0, Capacity: 0})
 	for i := 0; i < 20; i++ {
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
 	tot := n.Totals()
@@ -288,7 +276,7 @@ func TestCorruptionGuard(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
 	if err := n.Drain(10_000); err != nil {
@@ -317,7 +305,7 @@ func TestSwitchStallAndCrash(t *testing.T) {
 	injectBurst(t, ls, 10)
 	n.applyFault(&FaultEvent{Kind: FaultSwitchStall, Node: ls.Spines[0]})
 	for i := 0; i < 30; i++ {
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
 	tot := n.Totals()
@@ -333,7 +321,7 @@ func TestSwitchStallAndCrash(t *testing.T) {
 	n.applyFault(&FaultEvent{Kind: FaultSwitchCrash, Node: ls.Spines[0]})
 	injectBurst(t, ls, 10)
 	for i := 0; i < 30; i++ {
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
 	if b := n.Totals().BlackholedPkts; b == 0 {
@@ -360,7 +348,7 @@ func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
 	n := ls.Net
 	n.WatchdogTicks = 64
 	injectBurst(t, ls, 10)
-	n.Tick()
+	mustStep(t, n)
 	n.applyFault(&FaultEvent{Kind: FaultLinkDown, Node: ls.Leaves[0], Port: 0})
 	err := n.Drain(1 << 20)
 	if err == nil {
@@ -376,7 +364,7 @@ func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
 	ls2 := buildTinyFabric(t)
 	ls2.Net.WatchdogTicks = 64
 	injectBurst(t, ls2, 10)
-	ls2.Net.Tick()
+	mustStep(t, ls2.Net)
 	ls2.Net.applyFault(&FaultEvent{Kind: FaultLinkDown, Node: ls2.Leaves[0], Port: 0})
 	if err := ls2.Net.Run(1 << 20); err == nil || !strings.Contains(err.Error(), "no progress") {
 		t.Fatalf("Run on a wedged network: want watchdog error, got %v", err)
@@ -432,7 +420,7 @@ func TestClearFaults(t *testing.T) {
 	}
 	injectBurst(t, ls, 20)
 	for i := 0; i < 40; i++ {
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
 	n.ClearFaults()
@@ -458,19 +446,16 @@ func TestClearFaults(t *testing.T) {
 // machines or break conservation: the run drains clean, pools balance,
 // and the fabric still forwards fresh traffic afterwards.
 func TestFeedbackFaultRobustness(t *testing.T) {
-	c := ExperimentConfig{
+	c := Scenario{
 		Routing: "conga_route", Leaves: 3, Spines: 2, HostsPerLeaf: 1,
 		Seed: 7, FlowsPerHost: 2, PktsPerFlow: 40,
 	}
 	c.setDefaults()
-	ls, r, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Feedback {
+	ls := buildLS(t, c)
+	n := ls.Net
+	if !n.Feedback {
 		t.Fatal("conga_route should reflect feedback")
 	}
-	n := ls.Net
 	if err := n.SetTrace(c.Trace(), ls.Hosts); err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +472,7 @@ func TestFeedbackFaultRobustness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
 	if err := n.Drain(100_000); err != nil {
@@ -515,7 +500,7 @@ func TestFeedbackFaultRobustness(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
 	if err := n.Drain(100_000); err != nil {

@@ -114,12 +114,12 @@ func FuzzNetTopology(f *testing.F) {
 				t.Fatal(err)
 			}
 			if rng.Intn(3) == 0 {
-				n.Tick()
+				mustStep(t, n)
 				checkNet(t, n)
 			}
 		}
 		for i := 0; i < 50000 && !n.idle(); i++ {
-			n.Tick()
+			mustStep(t, n)
 			checkNet(t, n)
 		}
 		tot := n.Totals()
@@ -170,7 +170,7 @@ func FuzzReliableTransport(f *testing.F) {
 		if seed&1 != 0 {
 			routing = "conga_route"
 		}
-		c := ExperimentConfig{
+		c := Scenario{
 			Routing: routing, Leaves: 2, Spines: 2, HostsPerLeaf: 1,
 			Seed:         1 + int64(uint64(seed)%997),
 			FlowsPerHost: 1 + int(uint64(load)%2),
@@ -178,10 +178,7 @@ func FuzzReliableTransport(f *testing.F) {
 			MeanBurst:    4, BurstGap: 8,
 			ECN: true, ECNThresholdBytes: 2000,
 		}
-		ls, _, err := c.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ls := buildLS(t, c)
 		n := ls.Net
 		tr := c.Trace()
 		if err := n.SetTrace(tr, ls.Hosts); err != nil {
@@ -203,7 +200,7 @@ func FuzzReliableTransport(f *testing.F) {
 
 		// Let the schedule and the transport fight it out.
 		for i := 0; i < 300; i++ {
-			n.Tick()
+			mustStep(t, n)
 			checkNet(t, n)
 		}
 
@@ -211,7 +208,7 @@ func FuzzReliableTransport(f *testing.F) {
 		// every packet (ack or loud give-up) and the network must drain.
 		n.ClearFaults()
 		for i := 0; i < 100000 && !n.idle(); i++ {
-			n.Tick()
+			mustStep(t, n)
 			checkNet(t, n)
 		}
 		if !tp.Done() {
@@ -355,20 +352,20 @@ func FuzzNetFaults(f *testing.F) {
 				t.Fatal(err)
 			}
 			if rng.Intn(3) == 0 {
-				n.Tick()
+				mustStep(t, n)
 				checkNet(t, n)
 			}
 		}
 		// Let the schedule play out with the network live.
 		for i := 0; i < 150; i++ {
-			n.Tick()
+			mustStep(t, n)
 			checkNet(t, n)
 		}
 
 		// Epilogue: restore everything; the network must now drain.
 		n.ClearFaults()
 		for i := 0; i < 50000 && !n.idle(); i++ {
-			n.Tick()
+			mustStep(t, n)
 			checkNet(t, n)
 		}
 		tot := n.Totals()

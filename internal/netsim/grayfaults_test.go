@@ -177,11 +177,11 @@ func TestSwitchRestartWipesSoftState(t *testing.T) {
 	// arrival tick, and a tick-0 arrival is indistinguishable from the
 	// declared init.
 	for i := 0; i < 5; i++ {
-		n.Tick()
+		mustStep(t, n)
 	}
 	injectBurst(t, ls, 20)
 	for i := 0; i < 10; i++ {
-		n.Tick()
+		mustStep(t, n)
 	}
 	if !dirtyFlowletState(t, n, leaf, 8000) {
 		t.Fatal("setup: traffic left no flowlet state behind")
@@ -238,15 +238,12 @@ func TestSwitchRestartWipesSoftState(t *testing.T) {
 // state indexing and modulo route wrapping keep the pipeline running,
 // the run drains bounded, and conservation holds throughout.
 func TestSwitchRestartScrambleCannotWedge(t *testing.T) {
-	c := ExperimentConfig{
+	c := Scenario{
 		Routing: "conga_route", Leaves: 3, Spines: 2, HostsPerLeaf: 1,
 		Seed: 11, FlowsPerHost: 2, PktsPerFlow: 40,
 	}
 	c.setDefaults()
-	ls, _, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := buildLS(t, c)
 	n := ls.Net
 	if err := n.SetTrace(c.Trace(), ls.Hosts); err != nil {
 		t.Fatal(err)
@@ -267,10 +264,10 @@ func TestSwitchRestartScrambleCannotWedge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 600; i++ {
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
-	if err := n.Drain(c.DrainLimit); err != nil {
+	if err := n.Drain(DrainLimit); err != nil {
 		t.Fatal(err)
 	}
 	checkNet(t, n)
@@ -285,10 +282,10 @@ func TestSwitchRestartScrambleCannotWedge(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		n.Tick()
+		mustStep(t, n)
 		checkNet(t, n)
 	}
-	if err := n.Drain(c.DrainLimit); err != nil {
+	if err := n.Drain(DrainLimit); err != nil {
 		t.Fatal(err)
 	}
 	if got := n.Totals().DeliveredPkts - before; got < 10 {
@@ -301,17 +298,13 @@ func TestSwitchRestartScrambleCannotWedge(t *testing.T) {
 // within ε of its pre-restart value after the leaf's best-util/best-path
 // tables are wiped — the soft state is genuinely soft.
 func TestCongaRebalancesAfterRestart(t *testing.T) {
-	c := ExperimentConfig{Routing: "conga_route", Leaves: 2, Spines: 2, HostsPerLeaf: 1, Seed: 9}
+	c := Scenario{Routing: "conga_route", Leaves: 2, Spines: 2, HostsPerLeaf: 1, Seed: 9}
 	c.setDefaults()
-	ls, r, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := buildLS(t, c)
 	n := ls.Net
 	if err := n.MapHosts(ls.Hosts); err != nil {
 		t.Fatal(err)
 	}
-	n.Feedback = r.Feedback
 	leaf := n.nodes[ls.Leaves[0]].sw
 	flow := int32(0)
 	// window drives 2 pkts/tick host0→host1 for the given ticks and
@@ -328,7 +321,7 @@ func TestCongaRebalancesAfterRestart(t *testing.T) {
 				}
 				flow++
 			}
-			n.Tick()
+			mustStep(t, n)
 		}
 		d0 := float64(leaf.links[0].bytes - a0)
 		d1 := float64(leaf.links[1].bytes - a1)

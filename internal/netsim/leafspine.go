@@ -7,7 +7,6 @@ package netsim
 
 import (
 	"fmt"
-	"strings"
 
 	"domino/internal/algorithms"
 	"domino/internal/codegen"
@@ -53,6 +52,11 @@ type LeafSpine struct {
 	Hosts  []NodeID // dense: host h under leaf h/HostsPerLeaf
 	cfg    LeafSpineConfig
 }
+
+// Network, HostIDs and LeafIDs make *LeafSpine a Fabric.
+func (ls *LeafSpine) Network() *Network { return ls.Net }
+func (ls *LeafSpine) HostIDs() []NodeID { return ls.Hosts }
+func (ls *LeafSpine) LeafIDs() []NodeID { return ls.Leaves }
 
 // NewLeafSpine builds and fully wires the fabric.
 func NewLeafSpine(cfg LeafSpineConfig) (*LeafSpine, error) {
@@ -125,14 +129,6 @@ func NewLeafSpine(cfg LeafSpineConfig) (*LeafSpine, error) {
 	return ls, nil
 }
 
-// isCore reports whether a link is part of the fabric core (leaf↔spine,
-// either direction) — classification is by the builder's node names, so
-// it stays correct when uplink and downlink capacities coincide.
-func isCore(l LinkStats) bool {
-	return (strings.HasPrefix(l.From, "leaf") && strings.HasPrefix(l.To, "spine")) ||
-		(strings.HasPrefix(l.From, "spine") && strings.HasPrefix(l.To, "leaf"))
-}
-
 // PathName decodes an INT path digest back into the hop sequence it was
 // folded from: candidate digests are precomputable because a leaf-spine
 // data packet crosses either exactly its own leaf (local traffic) or
@@ -164,19 +160,6 @@ func (ls *LeafSpine) NamedPathCounts() []PathCount {
 	out := ls.Net.PathCounts()
 	for i := range out {
 		out[i].Name = ls.PathName(out[i].Digest)
-	}
-	return out
-}
-
-// CoreLinkBytes returns the byte counts of the fabric's core links (every
-// leaf↔spine link, both directions, in creation order) — the input to the
-// load-balance metric.
-func (ls *LeafSpine) CoreLinkBytes() []int64 {
-	var out []int64
-	for _, l := range ls.Net.LinkStats() {
-		if isCore(l) {
-			out = append(out, l.Bytes)
-		}
 	}
 	return out
 }

@@ -483,7 +483,7 @@ func outSlot(l *banzai.Layout, field string) int {
 
 // AddSwitch instantiates a switch around a compiled program. The switch's
 // RouteField steers departures to ports; every port must be bound with
-// Connect before the first Tick.
+// Connect before the first Step.
 func (n *Network) AddSwitch(name string, prog *codegen.Program, cfg switchsim.Config) (NodeID, error) {
 	if n.ready {
 		return 0, fmt.Errorf("netsim: cannot add switch %q after the clock started", name)
@@ -723,9 +723,8 @@ const defaultWatchdogTicks = 4096
 // output port must be bound, and the no-progress watchdog must exceed the
 // longest link delay (a packet legitimately makes no observable progress
 // for its whole flight time, so a shorter watchdog would declare a
-// healthy network wedged). It is idempotent, implied by the first Tick,
-// and the error-returning way to surface wiring mistakes — Tick panics on
-// them because it cannot return one.
+// healthy network wedged). It is idempotent and implied by the first
+// Step, Run or Drain, which return its error.
 func (n *Network) Start() error {
 	if n.ready {
 		return nil
@@ -760,15 +759,6 @@ func (n *Network) Start() error {
 	n.wheelSpan = maxDelay
 	n.ready = true
 	return nil
-}
-
-// Tick advances the network one time unit — the documented compat
-// wrapper for harnesses that cannot thread an error. It panics on the
-// wiring errors Step returns; call Start or Step to get them as values.
-func (n *Network) Tick() {
-	if err := n.Step(); err != nil {
-		panic(err.Error())
-	}
 }
 
 // Step advances the network one time unit: due fault events fire, due
@@ -1802,6 +1792,19 @@ func (n *Network) LinkStats() []LinkStats {
 		}
 	}
 	return out
+}
+
+// CoreLinks is LinkStats restricted to the fabric core: the links that do
+// not end at a host — classified by the wiring, so it holds for any
+// topology and when uplink and downlink capacities coincide.
+func (n *Network) CoreLinks() []LinkStats {
+	var core []LinkStats
+	for i, st := range n.LinkStats() {
+		if n.links[i].to.host == nil {
+			core = append(core, st)
+		}
+	}
+	return core
 }
 
 // SwitchStats returns a switch's per-port statistics.

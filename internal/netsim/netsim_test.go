@@ -21,6 +21,44 @@ func checkNet(t *testing.T, n *Network) {
 	}
 }
 
+// buildLS builds sc's fabric as the leaf-spine it describes.
+func buildLS(t testing.TB, sc Scenario) *LeafSpine {
+	t.Helper()
+	f, err := sc.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return f.(*LeafSpine)
+}
+
+// buildFT is buildLS for a fat-tree scenario.
+func buildFT(t testing.TB, sc Scenario) *FatTree {
+	t.Helper()
+	f, err := sc.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return f.(*FatTree)
+}
+
+// mustStart arms sc (fabric, trace, transport, faults) or fails the test.
+func mustStart(t testing.TB, sc Scenario) *Run {
+	t.Helper()
+	r, err := sc.Start()
+	if err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	return r
+}
+
+// mustStep advances n one tick; a wiring or watchdog error fails the test.
+func mustStep(t testing.TB, n *Network) {
+	t.Helper()
+	if err := n.Step(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // delivery is one OnDeliver record — the unit of the determinism tests'
 // byte-identical departure sequences.
 type delivery struct {
@@ -45,19 +83,19 @@ func recordDeliveries(n *Network) *[]delivery {
 func TestLeafSpineBalance(t *testing.T) {
 	imb := map[string]float64{}
 	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
-		res, err := RunLeafSpine(ExperimentConfig{Routing: routing, Seed: 1})
+		res, err := RunScenario(Scenario{Routing: routing, Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", routing, err)
 		}
-		checkNet(t, res.LS.Net)
-		if res.Dropped != 0 {
-			t.Errorf("%s: %d drops at default queue caps", routing, res.Dropped)
+		checkNet(t, res.Fabric.Network())
+		if res.Totals.DroppedPkts != 0 {
+			t.Errorf("%s: %d drops at default queue caps", routing, res.Totals.DroppedPkts)
 		}
-		if res.Completed != res.Flows {
-			t.Errorf("%s: %d/%d flows completed", routing, res.Completed, res.Flows)
+		if res.FCT.Completed != res.FCT.Flows {
+			t.Errorf("%s: %d/%d flows completed", routing, res.FCT.Completed, res.FCT.Flows)
 		}
-		if res.Injected == 0 || res.Delivered != res.Injected {
-			t.Errorf("%s: injected %d delivered %d", routing, res.Injected, res.Delivered)
+		if res.Totals.InjectedPkts == 0 || res.Totals.DeliveredPkts != res.Totals.InjectedPkts {
+			t.Errorf("%s: injected %d delivered %d", routing, res.Totals.InjectedPkts, res.Totals.DeliveredPkts)
 		}
 		imb[routing] = res.Imbalance
 	}
@@ -76,7 +114,7 @@ func TestLeafSpineBalance(t *testing.T) {
 // spine downlinks) and asserts the conservation identity at every single
 // tick boundary, not just after the drain.
 func TestConservationEveryTick(t *testing.T) {
-	cfg := ExperimentConfig{
+	cfg := Scenario{
 		Routing:            "ecmp_route",
 		Seed:               7,
 		QueueCapBytes:      1600, // one 1500 B packet per port
@@ -85,16 +123,13 @@ func TestConservationEveryTick(t *testing.T) {
 		PktsPerFlow:        96,
 	}
 	cfg.setDefaults()
-	ls, _, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := buildLS(t, cfg)
 	tr := cfg.Trace()
 	if err := ls.Net.SetTrace(tr, ls.Hosts); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < int(cfg.DrainLimit); i++ {
-		ls.Net.Tick()
+	for i := 0; i < int(DrainLimit); i++ {
+		mustStep(t, ls.Net)
 		checkNet(t, ls.Net)
 		if ls.Net.idle() {
 			break
@@ -134,24 +169,21 @@ func TestConservationEveryTick(t *testing.T) {
 // injections too — the identity must absorb them (and their drops) at
 // every tick.
 func TestConservationWithFeedback(t *testing.T) {
-	cfg := ExperimentConfig{
+	cfg := Scenario{
 		Routing:       "conga_route",
 		Seed:          11,
 		QueueCapBytes: 6000,
 	}
 	cfg.setDefaults()
-	ls, _, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := buildLS(t, cfg)
 	if !ls.Net.Feedback {
 		t.Fatal("conga_route did not enable feedback reflection")
 	}
 	if err := ls.Net.SetTrace(cfg.Trace(), ls.Hosts); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < int(cfg.DrainLimit) && !ls.Net.idle(); i++ {
-		ls.Net.Tick()
+	for i := 0; i < int(DrainLimit) && !ls.Net.idle(); i++ {
+		mustStep(t, ls.Net)
 		checkNet(t, ls.Net)
 	}
 	var fb int64
@@ -172,17 +204,14 @@ func TestConservationWithFeedback(t *testing.T) {
 // network-level closure of the workload-trace determinism guarantee.
 func TestNetsimDeterminism(t *testing.T) {
 	run := func() ([]delivery, []LinkStats, NetTotals) {
-		cfg := ExperimentConfig{Routing: "conga_route", Seed: 3}
+		cfg := Scenario{Routing: "conga_route", Seed: 3}
 		cfg.setDefaults()
-		ls, _, err := cfg.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ls := buildLS(t, cfg)
 		rec := recordDeliveries(ls.Net)
 		if err := ls.Net.SetTrace(cfg.Trace(), ls.Hosts); err != nil {
 			t.Fatal(err)
 		}
-		if err := ls.Net.Drain(cfg.DrainLimit); err != nil {
+		if err := ls.Net.Drain(DrainLimit); err != nil {
 			t.Fatal(err)
 		}
 		return *rec, ls.Net.LinkStats(), ls.Net.Totals()
@@ -268,11 +297,8 @@ func TestShardedFlowPinnedDeterminism(t *testing.T) {
 // packet's whole life — host inject, leaf pipeline, core links, spine
 // pipeline, sink — allocates nothing.
 func TestNetHotPathZeroAlloc(t *testing.T) {
-	cfg := ExperimentConfig{Routing: "ecmp_route", Seed: 1}
-	ls, _, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Scenario{Routing: "ecmp_route", Seed: 1}
+	ls := buildLS(t, cfg)
 	if err := ls.Net.MapHosts(ls.Hosts); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +308,7 @@ func TestNetHotPathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i&3 == 3 {
-			ls.Net.Tick()
+			mustStep(t, ls.Net)
 		}
 	}
 	if err := ls.Net.Drain(1 << 20); err != nil {
@@ -294,7 +320,7 @@ func TestNetHotPathZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i&3 == 3 {
-			ls.Net.Tick()
+			mustStep(t, ls.Net)
 		}
 		i++
 	})
@@ -305,29 +331,26 @@ func TestNetHotPathZeroAlloc(t *testing.T) {
 }
 
 // TestLeafSpineShape: the builder wires leaves*spines*2 core links plus
-// one downlink per host, rejects degenerate shapes, and CoreLinkBytes
+// one downlink per host, rejects degenerate shapes, and CoreLinks
 // reports exactly the core.
 func TestLeafSpineShape(t *testing.T) {
-	cfg := ExperimentConfig{Routing: "ecmp_route", Seed: 2, Leaves: 3, Spines: 2, HostsPerLeaf: 2}
+	cfg := Scenario{Routing: "ecmp_route", Seed: 2, Leaves: 3, Spines: 2, HostsPerLeaf: 2}
 	cfg.setDefaults()
-	ls, _, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := buildLS(t, cfg)
 	wantLinks := cfg.Leaves*cfg.Spines*2 + cfg.Leaves*cfg.HostsPerLeaf
 	if got := len(ls.Net.LinkStats()); got != wantLinks {
 		t.Fatalf("%d links wired, want %d", got, wantLinks)
 	}
-	if got := len(ls.CoreLinkBytes()); got != cfg.Leaves*cfg.Spines*2 {
+	if got := len(ls.Net.CoreLinks()); got != cfg.Leaves*cfg.Spines*2 {
 		t.Fatalf("%d core links, want %d", got, cfg.Leaves*cfg.Spines*2)
 	}
 	if _, err := NewLeafSpine(LeafSpineConfig{Leaves: 0, Spines: 1, HostsPerLeaf: 1}); err == nil {
 		t.Fatal("degenerate fabric accepted")
 	}
-	if _, err := RunLeafSpine(ExperimentConfig{Routing: "nope"}); err == nil {
+	if _, err := RunScenario(Scenario{Routing: "nope"}); err == nil {
 		t.Fatal("unknown routing accepted")
 	}
-	if _, err := RunLeafSpine(ExperimentConfig{Routing: "spine_route"}); err == nil {
+	if _, err := RunScenario(Scenario{Routing: "spine_route"}); err == nil {
 		t.Fatal("spine transaction accepted as leaf routing")
 	}
 }
@@ -399,8 +422,7 @@ func TestNetworkWiringErrors(t *testing.T) {
 	}
 
 	// Port 1 is still unbound: Start (and the Run/Drain/InjectNow paths
-	// built on it) must return the wiring error, and the first Tick —
-	// which cannot — must refuse to run with a panic.
+	// built on it) must return the wiring error, as must the first Step.
 	if err := n.Start(); err == nil {
 		t.Fatal("Start with an unbound port returned nil")
 	}
@@ -413,14 +435,9 @@ func TestNetworkWiringErrors(t *testing.T) {
 	if err := n.InjectNow(&workload.NetPacket{}); err == nil {
 		t.Fatal("InjectNow with an unbound port returned nil")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("tick with an unbound port did not panic")
-			}
-		}()
-		n.Tick()
-	}()
+	if err := n.Step(); err == nil {
+		t.Fatal("Step with an unbound port returned nil")
+	}
 
 	// Fully wire it; then post-start mutation must be rejected.
 	n2 := New()
@@ -429,7 +446,7 @@ func TestNetworkWiringErrors(t *testing.T) {
 	if err := n2.Connect(s2, 0, h2, LinkOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	n2.Tick()
+	mustStep(t, n2)
 	if _, err := n2.AddSwitch("late", prog, switchsim.Config{Ports: 1}); err == nil {
 		t.Fatal("switch added after the clock started")
 	}
@@ -570,7 +587,7 @@ func TestImbalanceMetric(t *testing.T) {
 // TestExperimentTraceIsCrossLeaf: every packet of the experiment's
 // traffic matrix crosses the core.
 func TestExperimentTraceIsCrossLeaf(t *testing.T) {
-	cfg := ExperimentConfig{Seed: 9}
+	cfg := Scenario{Seed: 9}
 	cfg.setDefaults()
 	tr := cfg.Trace()
 	if len(tr.Packets) == 0 {

@@ -17,25 +17,21 @@ import (
 // obsConfig is the smallest fabric where paths are enumerable by hand:
 // two leaves, two spines, one host per leaf. Node ids follow creation
 // order — spine0=0, spine1=1, leaf0=2, host0=3, leaf1=4, host1=5.
-func obsConfig(reg *telemetry.Registry, ring *telemetry.Ring) ExperimentConfig {
-	return ExperimentConfig{
+func obsConfig(reg *telemetry.Registry, ring *telemetry.Ring) Scenario {
+	return Scenario{
 		Routing: "ecmp_route",
 		Leaves:  2, Spines: 2, HostsPerLeaf: 1,
-		Seed:       7,
-		INT:        true,
-		Telemetry:  reg,
-		Ring:       ring,
-		DrainLimit: 1 << 20,
+		Seed:      7,
+		INT:       true,
+		Telemetry: reg,
+		Ring:      ring,
 	}
 }
 
 func TestINTDeliveryMatchesTopology(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := obsConfig(reg, nil)
-	ls, _, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := buildLS(t, c)
 
 	// The digests any healthy cross-leaf packet can carry: host0's leaf
 	// is node 2, host1's leaf node 4, the spines nodes 0 and 1.
@@ -66,7 +62,7 @@ func TestINTDeliveryMatchesTopology(t *testing.T) {
 	if err := ls.Net.SetTrace(c.Trace(), ls.Hosts); err != nil {
 		t.Fatal(err)
 	}
-	if err := ls.Net.Drain(c.DrainLimit); err != nil {
+	if err := ls.Net.Drain(DrainLimit); err != nil {
 		t.Fatal(err)
 	}
 	if data == 0 {
@@ -102,11 +98,11 @@ func TestEcnMarkTally(t *testing.T) {
 	c.ECN = true
 	c.ECNThresholdBytes = 1     // any queued byte marks
 	c.UplinkBytesPerTick = 1500 // one packet per tick: queues form
-	res, err := RunLeafSpine(c)
+	res, err := RunScenario(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := res.LS.Net.Totals()
+	tot := res.Totals
 	if tot.EcnMarkedPkts == 0 {
 		t.Fatal("no ECN marks despite 1-byte threshold on a congested fabric")
 	}
@@ -125,14 +121,11 @@ func snapshotJSON(t *testing.T) []byte {
 	ring := telemetry.NewRing(256, 4, 99)
 	c2 := obsConfig(reg, ring)
 	c2.ECN = true
-	ls, _, err := c2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := buildLS(t, c2)
 	if err := ls.Net.SetTrace(c2.Trace(), ls.Hosts); err != nil {
 		t.Fatal(err)
 	}
-	if err := ls.Net.Drain(c2.DrainLimit); err != nil {
+	if err := ls.Net.Drain(DrainLimit); err != nil {
 		t.Fatal(err)
 	}
 	b, err := ls.Net.SnapshotJSON()

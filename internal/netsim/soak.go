@@ -28,52 +28,28 @@ import (
 	"sync"
 )
 
+// What every soak run shares. No caller ever varied these, so they are
+// constants.
+const (
+	soakFaultTicks = 150    // live ticks while the schedule rages
+	soakDrainTicks = 100000 // bound on the post-ClearFaults drain
+	soakWatchdog   = 512    // no-progress bound, tight so a wedged run fails fast
+	soakMaxWorkers = 8      // runs in flight: GOMAXPROCS, capped here
+)
+
+// soakRoutings is the routing rotation: run i uses entry i mod 3.
+var soakRoutings = [...]string{"ecmp_route", "flowlet_route", "conga_route"}
+
 // SoakConfig parameterizes a chaos soak. The zero value of every field
 // selects the bracketed default.
 type SoakConfig struct {
-	Runs            int      // seeded schedules to run [1000]
-	Seed            int64    // base seed; run i derives from Seed+i [1]
-	Routings        []string // routing rotation [ecmp, flowlet, conga]
-	TicksWithFaults int      // live ticks while the schedule rages [150]
-	ReplayEvery     int      // every k-th run is replayed and digest-compared [25]
-	DrainLimit      int      // tick bound on the post-ClearFaults drain [100000]
-
-	// Parallel runs workers concurrently; each run is self-contained
-	// (its own Network, seeded from Seed+i), so the aggregate is
-	// order-independent and the soak stays deterministic [GOMAXPROCS,
-	// capped at 8].
-	Parallel int
+	Runs        int   // seeded schedules to run [1000]
+	Seed        int64 // base seed; run i derives from Seed+i [1]
+	ReplayEvery int   // every k-th run is replayed and digest-compared [25]
 
 	// Progress, when set, is called after every completed run with
 	// (done, total) — the CLI uses it to keep a long soak honest.
 	Progress func(done, total int)
-}
-
-func (c *SoakConfig) setDefaults() {
-	if c.Runs == 0 {
-		c.Runs = 1000
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if len(c.Routings) == 0 {
-		c.Routings = []string{"ecmp_route", "flowlet_route", "conga_route"}
-	}
-	if c.TicksWithFaults == 0 {
-		c.TicksWithFaults = 150
-	}
-	if c.ReplayEvery == 0 {
-		c.ReplayEvery = 25
-	}
-	if c.DrainLimit == 0 {
-		c.DrainLimit = 100000
-	}
-	if c.Parallel == 0 {
-		c.Parallel = runtime.GOMAXPROCS(0)
-		if c.Parallel > 8 {
-			c.Parallel = 8
-		}
-	}
 }
 
 // SoakStats aggregates a completed soak.
@@ -107,6 +83,25 @@ func (s *SoakStats) Coverage() error {
 	return nil
 }
 
+// digestDeliveries installs the OnDeliver hook the replay oracles compare
+// runs by: every delivery's host, flow, seq, size, fb and dup bits and
+// tick is folded into *d, so two runs agree on *d only if they delivered
+// the same packets to the same hosts in the same order at the same ticks.
+func (n *Network) digestDeliveries(d *uint64) {
+	n.OnDeliver = func(ev Delivery) {
+		h := *d
+		h = splitmix64(h ^ uint64(ev.Host)<<32 ^ uint64(uint32(ev.Flow)))
+		h = splitmix64(h ^ uint64(uint32(ev.Seq))<<16 ^ uint64(uint32(ev.Size)))
+		if ev.Fb {
+			h = splitmix64(h ^ 0xfb)
+		}
+		if ev.Dup {
+			h = splitmix64(h ^ 0xd0d0)
+		}
+		*d = splitmix64(h ^ uint64(n.Now()))
+	}
+}
+
 // soakRunResult is one run's contribution to the aggregate, plus the
 // delivery digest used for replay comparison.
 type soakRunResult struct {
@@ -116,16 +111,17 @@ type soakRunResult struct {
 	events map[FaultKind]int64
 }
 
-// soakRun executes one seeded schedule and returns its result; any
-// oracle violation comes back as an error naming the run so the exact
-// failure replays from the command line.
+// soakRun executes one seeded schedule — a small scenario under
+// RandomFaults, stepped tick by tick with the oracles re-checked at every
+// boundary — and returns its result; any violation comes back as an
+// error naming the run so the exact failure replays from the command
+// line.
 func soakRun(c *SoakConfig, i int) (*soakRunResult, error) {
 	seed := c.Seed + int64(i)
 	rng := rand.New(rand.NewSource(seed))
 	reliable := i%2 == 1
-
-	ec := ExperimentConfig{
-		Routing:      c.Routings[i%len(c.Routings)],
+	sc := Scenario{
+		Routing:      soakRoutings[i%len(soakRoutings)],
 		Leaves:       2 + i%2, // alternate 2- and 3-leaf fabrics
 		Spines:       2,
 		HostsPerLeaf: 1,
@@ -135,135 +131,128 @@ func soakRun(c *SoakConfig, i int) (*soakRunResult, error) {
 		MeanBurst:    4, BurstGap: 8,
 		ECN: reliable, ECNThresholdBytes: 2000,
 	}
-	ls, _, err := ec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("soak run %d (seed %d): build: %w", i, seed, err)
+	faultSeed := rng.Int63()
+	sc.Faults = func(f Fabric) *FaultSchedule {
+		return f.Network().RandomFaults(faultSeed, soakFaultTicks*2/3)
 	}
-	n := ls.Net
-	n.WatchdogTicks = 512
-	tr := ec.Trace()
-	if err := n.SetTrace(tr, ls.Hosts); err != nil {
-		return nil, fmt.Errorf("soak run %d (seed %d): %w", i, seed, err)
-	}
-	var tp *Transport
 	if reliable {
 		// A tight retry budget keeps give-up (and the drain) fast when
 		// the schedule severs a path for good.
-		tp, err = n.EnableTransport(TransportConfig{
-			RTO: 8, RTOMax: 64, MaxRetries: 4, Window: 8, Seed: seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("soak run %d (seed %d): %w", i, seed, err)
-		}
+		sc.Transport = &TransportConfig{RTO: 8, RTOMax: 64, MaxRetries: 4, Window: 8, Seed: seed}
 	}
-
+	r, err := sc.Start()
+	if err != nil {
+		return nil, fmt.Errorf("soak run %d (seed %d, %s): start: %w", i, seed, sc.Routing, err)
+	}
+	n := r.Net
+	n.WatchdogTicks = soakWatchdog
+	fail := func(phase string, err error) (*soakRunResult, error) {
+		return nil, fmt.Errorf("soak run %d (seed %d, %s, reliable=%v) %s, tick %d: %w",
+			i, seed, sc.Routing, reliable, phase, n.Now(), err)
+	}
 	res := &soakRunResult{digest: splitmix64(uint64(seed)), events: map[FaultKind]int64{}}
-	n.OnDeliver = func(ev Delivery) {
-		h := res.digest
-		h = splitmix64(h ^ uint64(ev.Host)<<32 ^ uint64(uint32(ev.Flow)))
-		h = splitmix64(h ^ uint64(uint32(ev.Seq))<<16 ^ uint64(uint32(ev.Size)))
-		if ev.Fb {
-			h = splitmix64(h ^ 0xfb)
-		}
-		if ev.Dup {
-			h = splitmix64(h ^ 0xd0d0)
-		}
-		res.digest = splitmix64(h ^ uint64(n.Now()))
-	}
-
-	sched := n.RandomFaults(rng.Int63(), int64(c.TicksWithFaults)*2/3)
-	for _, ev := range sched.Events {
+	n.digestDeliveries(&res.digest)
+	for _, ev := range r.Faults.Events {
 		res.events[ev.Kind]++
 	}
-	if err := n.SetFaults(sched); err != nil {
-		return nil, fmt.Errorf("soak run %d (seed %d): %w", i, seed, err)
-	}
 
-	oracle := func(phase string) error {
+	// tick steps once and re-checks the per-tick oracles: the four
+	// identities, and the pool holding exactly what is queued or in flight.
+	tick := func() error {
+		if err := n.Step(); err != nil {
+			return err
+		}
 		if err := n.CheckConservation(); err != nil {
-			return fmt.Errorf("soak run %d (seed %d, %s, %s, reliable=%v) tick %d: %w",
-				i, seed, ec.Routing, phase, reliable, n.Now(), err)
+			return err
 		}
 		t := n.Totals()
 		if live := int64(n.LiveHeaders()); live != t.QueuedPkts+t.InFlightPkts {
-			return fmt.Errorf("soak run %d (seed %d, %s, %s) tick %d: %d live headers, %d queued + %d in flight",
-				i, seed, ec.Routing, phase, n.Now(), live, t.QueuedPkts, t.InFlightPkts)
+			return fmt.Errorf("%d live headers, %d queued + %d in flight", live, t.QueuedPkts, t.InFlightPkts)
 		}
 		return nil
 	}
-
-	for k := 0; k < c.TicksWithFaults; k++ {
-		if err := n.Step(); err != nil {
-			return nil, fmt.Errorf("soak run %d (seed %d): %w", i, seed, err)
-		}
-		if err := oracle("faulted"); err != nil {
-			return nil, err
+	for k := 0; k < soakFaultTicks; k++ {
+		if err := tick(); err != nil {
+			return fail("faulted", err)
 		}
 	}
-
-	// Epilogue: heal everything; the fabric must drain and the transport
-	// must resolve within the bound.
+	// Epilogue: heal everything; the fabric must drain within the bound,
+	// and Finish then demands zero leaks and a fully resolved transport.
 	n.ClearFaults()
-	drained := false
-	for k := 0; k < c.DrainLimit; k++ {
-		if n.idle() {
-			drained = true
-			break
+	for k := 0; !n.idle(); k++ {
+		if k == soakDrainTicks {
+			return fail("draining", fmt.Errorf("no drain within %d ticks: %d queued, %d in flight",
+				soakDrainTicks, n.queuedPkts, n.inFlightPkts))
 		}
-		if err := n.Step(); err != nil {
-			return nil, fmt.Errorf("soak run %d (seed %d): %w", i, seed, err)
-		}
-		if err := oracle("draining"); err != nil {
-			return nil, err
+		if err := tick(); err != nil {
+			return fail("draining", err)
 		}
 	}
-	tot := n.Totals()
-	if !drained {
-		return nil, fmt.Errorf("soak run %d (seed %d, %s): no drain within %d ticks: %d queued, %d in flight",
-			i, seed, ec.Routing, c.DrainLimit, tot.QueuedPkts, tot.InFlightPkts)
+	fin, err := r.Finish()
+	if err != nil {
+		return fail("drained", err)
 	}
-	if live := n.LiveHeaders(); live != 0 {
-		return nil, fmt.Errorf("soak run %d (seed %d, %s): %d headers leaked", i, seed, ec.Routing, live)
-	}
-	if tp != nil {
-		res.tt = tp.Totals()
-		if !tp.Done() {
-			return nil, fmt.Errorf("soak run %d (seed %d, %s): transport unresolved: offered %d, acked %d, given up %d, outstanding %d",
-				i, seed, ec.Routing, res.tt.OfferedPkts, res.tt.AckedPkts, res.tt.GivenUpPkts, res.tt.OutstandingPkts)
-		}
-	}
-	res.tot = tot
+	res.tot, res.tt = fin.Totals, fin.Transport
 	return res, nil
 }
 
-// RunSoak executes cfg.Runs seeded chaos schedules — cfg.Parallel at a
-// time, each self-contained — and aggregates them. The first oracle
-// violation aborts the soak with an error that names the run index and
-// seed, so `-soak` reproduces it deterministically.
+// add folds run i's result into the aggregate.
+func (st *SoakStats) add(i int, r *soakRunResult, replayed bool) {
+	st.Runs++
+	if replayed {
+		st.Replays++
+	}
+	if i%2 == 1 {
+		st.ReliableRuns++
+	} else {
+		st.RawRuns++
+	}
+	for k, c := range r.events {
+		st.FaultEvents[k] += c
+	}
+	st.InjectedPkts += r.tot.InjectedPkts
+	st.DeliveredPkts += r.tot.DeliveredPkts
+	st.DupInjectedPkts += r.tot.DupInjectedPkts
+	st.BlackholedPkts += r.tot.BlackholedPkts
+	st.CorruptDroppedPkts += r.tot.CorruptDroppedPkts
+	st.RetransPkts += r.tt.RetransPkts
+	st.FastRetransPkts += r.tt.FastRetransPkts
+	st.GivenUpPkts += r.tt.GivenUpPkts
+}
+
+// RunSoak executes cfg.Runs seeded chaos schedules and aggregates them.
+// Runs are self-contained (each its own Network, seeded from Seed+i), so
+// they execute concurrently and the aggregate is order-independent. The
+// first oracle violation aborts the soak with an error that names the run
+// index and seed, so `-soak` reproduces it deterministically.
 func RunSoak(cfg SoakConfig) (*SoakStats, error) {
-	cfg.setDefaults()
+	orDefault(&cfg.Runs, 1000)
+	orDefault(&cfg.Seed, 1)
+	orDefault(&cfg.ReplayEvery, 25)
 	st := &SoakStats{FaultEvents: map[FaultKind]int64{}}
 
 	var (
 		mu      sync.Mutex
 		wg      sync.WaitGroup
-		done    int
+		next    int // next run index to hand out
 		firstEr error
 	)
-	idx := make(chan int)
-	for w := 0; w < cfg.Parallel; w++ {
+	for w := min(runtime.GOMAXPROCS(0), soakMaxWorkers); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for {
 				mu.Lock()
-				aborted := firstEr != nil
+				i := next
+				next++
+				stop := firstEr != nil || i >= cfg.Runs
 				mu.Unlock()
-				if aborted {
-					continue // drain the channel so the sender never blocks
+				if stop {
+					return
 				}
+				replay := i%cfg.ReplayEvery == 0
 				r, err := soakRun(&cfg, i)
-				if err == nil && i%cfg.ReplayEvery == 0 {
+				if err == nil && replay {
 					var again *soakRunResult
 					if again, err = soakRun(&cfg, i); err != nil {
 						err = fmt.Errorf("replay: %w", err)
@@ -277,47 +266,16 @@ func RunSoak(cfg SoakConfig) (*SoakStats, error) {
 					if firstEr == nil {
 						firstEr = err
 					}
-					mu.Unlock()
-					continue
-				}
-				if i%cfg.ReplayEvery == 0 {
-					st.Replays++
-				}
-				st.Runs++
-				if i%2 == 1 {
-					st.ReliableRuns++
 				} else {
-					st.RawRuns++
-				}
-				for k, c := range r.events {
-					st.FaultEvents[k] += c
-				}
-				st.InjectedPkts += r.tot.InjectedPkts
-				st.DeliveredPkts += r.tot.DeliveredPkts
-				st.DupInjectedPkts += r.tot.DupInjectedPkts
-				st.BlackholedPkts += r.tot.BlackholedPkts
-				st.CorruptDroppedPkts += r.tot.CorruptDroppedPkts
-				st.RetransPkts += r.tt.RetransPkts
-				st.FastRetransPkts += r.tt.FastRetransPkts
-				st.GivenUpPkts += r.tt.GivenUpPkts
-				done++
-				if cfg.Progress != nil {
-					cfg.Progress(done, cfg.Runs)
+					st.add(i, r, replay)
+					if cfg.Progress != nil {
+						cfg.Progress(st.Runs, cfg.Runs)
+					}
 				}
 				mu.Unlock()
 			}
 		}()
 	}
-	for i := 0; i < cfg.Runs; i++ {
-		mu.Lock()
-		stop := firstEr != nil
-		mu.Unlock()
-		if stop {
-			break
-		}
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	if firstEr != nil {
 		return nil, firstEr

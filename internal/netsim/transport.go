@@ -128,7 +128,7 @@ type TransportTotals struct {
 
 // Transport is the per-network reliable delivery state. Create one with
 // Network.EnableTransport; all further interaction happens through the
-// network's Tick/Run/Drain and the sink path.
+// network's Step/Run/Drain and the sink path.
 type Transport struct {
 	n   *Network
 	cfg TransportConfig

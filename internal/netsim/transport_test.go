@@ -9,22 +9,12 @@ import (
 
 // buildReliable assembles a leaf-spine fabric with ECN-marking programs,
 // installs the experiment trace and enables the transport.
-func buildReliable(t *testing.T, c ExperimentConfig, tc TransportConfig) (*LeafSpine, *Transport) {
+func buildReliable(t *testing.T, c Scenario, tc TransportConfig) (*LeafSpine, *Transport) {
 	t.Helper()
-	c.setDefaults()
 	c.ECN = true
-	ls, _, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ls.Net.SetTrace(c.Trace(), ls.Hosts); err != nil {
-		t.Fatal(err)
-	}
-	tp, err := ls.Net.EnableTransport(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ls, tp
+	c.Transport = &tc
+	r := mustStart(t, c)
+	return r.Fabric.(*LeafSpine), r.Transport
 }
 
 // checkReliable asserts the end state every reliable run must reach:
@@ -51,7 +41,7 @@ func checkReliable(t *testing.T, ls *LeafSpine, tp *Transport) (NetTotals, Trans
 // delivered exactly once, nothing is given up, and every flow completes.
 func TestReliableHealthyDelivery(t *testing.T) {
 	for _, routing := range []string{"ecmp_route", "conga_route"} {
-		ls, tp := buildReliable(t, ExperimentConfig{Routing: routing, Seed: 1}, TransportConfig{})
+		ls, tp := buildReliable(t, Scenario{Routing: routing, Seed: 1}, TransportConfig{})
 		if err := ls.Net.Drain(1 << 20); err != nil {
 			t.Fatalf("%s: %v", routing, err)
 		}
@@ -95,7 +85,7 @@ func reliableFaultSchedule(ls *LeafSpine) *FaultSchedule {
 func TestReliableExactlyOnceUnderFaults(t *testing.T) {
 	for _, routing := range []string{"ecmp_route", "flowlet_route"} {
 		ls, tp := buildReliable(t,
-			ExperimentConfig{Routing: routing, Seed: 1, PktsPerFlow: 96},
+			Scenario{Routing: routing, Seed: 1, PktsPerFlow: 96},
 			TransportConfig{})
 		if err := ls.Net.SetFaults(reliableFaultSchedule(ls)); err != nil {
 			t.Fatal(err)
@@ -127,7 +117,7 @@ func TestReliableExactlyOnceUnderFaults(t *testing.T) {
 // run, every packet exhausts its retry budget and is counted GivenUp —
 // bounded, loud failure instead of a wedged drain or silent loss.
 func TestReliableGivesUpLoudly(t *testing.T) {
-	c := ExperimentConfig{Routing: "ecmp_route", Seed: 1, Leaves: 2, Spines: 1, HostsPerLeaf: 1, PktsPerFlow: 16}
+	c := Scenario{Routing: "ecmp_route", Seed: 1, Leaves: 2, Spines: 1, HostsPerLeaf: 1, PktsPerFlow: 16}
 	ls, tp := buildReliable(t, c, TransportConfig{RTO: 8, RTOMax: 64, MaxRetries: 3})
 	if err := ls.Net.SetFaults((&FaultSchedule{}).SwitchCrash(1, ls.Spines[0])); err != nil {
 		t.Fatal(err)
@@ -152,7 +142,7 @@ func TestReliableGivesUpLoudly(t *testing.T) {
 // threshold) must produce ECN marks, echoed marks must cut send rates
 // (RateCuts), and delivery stays exactly-once.
 func TestReliableECNBackoff(t *testing.T) {
-	c := ExperimentConfig{Routing: "ecmp_route", Seed: 1, PktsPerFlow: 48,
+	c := Scenario{Routing: "ecmp_route", Seed: 1, PktsPerFlow: 48,
 		UplinkBytesPerTick: 800, ECNThresholdBytes: 3000}
 	ls, tp := buildReliable(t, c, TransportConfig{})
 	if err := ls.Net.Drain(1 << 20); err != nil {
@@ -174,7 +164,7 @@ func TestReliableECNBackoff(t *testing.T) {
 func TestReliableDeterminism(t *testing.T) {
 	run := func() ([]delivery, NetTotals, TransportTotals) {
 		ls, tp := buildReliable(t,
-			ExperimentConfig{Routing: "flowlet_route", Seed: 1, PktsPerFlow: 48},
+			Scenario{Routing: "flowlet_route", Seed: 1, PktsPerFlow: 48},
 			TransportConfig{})
 		if err := ls.Net.SetFaults(reliableFaultSchedule(ls)); err != nil {
 			t.Fatal(err)
@@ -210,7 +200,7 @@ func TestReliableDeterminism(t *testing.T) {
 // replayed under AllocsPerRun via Reset.
 func TestReliableHotPathZeroAlloc(t *testing.T) {
 	ls, tp := buildReliable(t,
-		ExperimentConfig{Routing: "ecmp_route", Seed: 1, PktsPerFlow: 32},
+		Scenario{Routing: "ecmp_route", Seed: 1, PktsPerFlow: 32},
 		TransportConfig{})
 	if err := ls.Net.Drain(1 << 20); err != nil {
 		t.Fatal(err)
@@ -224,7 +214,7 @@ func TestReliableHotPathZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ls.Net.Tick()
+		mustStep(t, ls.Net)
 	})
 	if allocs != 0 {
 		t.Fatalf("reliable hot path allocates %.2f times per tick, want 0", allocs)
@@ -235,13 +225,10 @@ func TestReliableHotPathZeroAlloc(t *testing.T) {
 // TestTransportValidation: the misuse guards around EnableTransport,
 // InjectNow and Reset all error instead of corrupting state.
 func TestTransportValidation(t *testing.T) {
-	c := ExperimentConfig{Routing: "ecmp_route", Seed: 1, Leaves: 2, Spines: 1, HostsPerLeaf: 1, PktsPerFlow: 4}
+	c := Scenario{Routing: "ecmp_route", Seed: 1, Leaves: 2, Spines: 1, HostsPerLeaf: 1, PktsPerFlow: 4}
 	c.setDefaults()
 	c.ECN = true
-	ls, _, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls := buildLS(t, c)
 	if _, err := ls.Net.EnableTransport(TransportConfig{}); err == nil {
 		t.Fatal("EnableTransport accepted with no trace")
 	}
@@ -267,14 +254,11 @@ func TestTransportValidation(t *testing.T) {
 	checkReliable(t, ls, tp)
 
 	// Enabling after the clock started is refused.
-	ls2, _, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls2 := buildLS(t, c)
 	if err := ls2.Net.SetTrace(c.Trace(), ls2.Hosts); err != nil {
 		t.Fatal(err)
 	}
-	ls2.Net.Tick()
+	mustStep(t, ls2.Net)
 	if _, err := ls2.Net.EnableTransport(TransportConfig{}); err == nil {
 		t.Fatal("EnableTransport accepted mid-run")
 	}
@@ -283,13 +267,10 @@ func TestTransportValidation(t *testing.T) {
 // TestWatchdogBelowLinkDelay: Start refuses a watchdog that cannot tell
 // a packet in flight from a wedged network (satellite of PR 7).
 func TestWatchdogBelowLinkDelay(t *testing.T) {
-	c := ExperimentConfig{Routing: "ecmp_route", Seed: 1, Leaves: 2, Spines: 1, HostsPerLeaf: 1, LinkDelay: 10}
-	ls, _, err := c.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Scenario{Routing: "ecmp_route", Seed: 1, Leaves: 2, Spines: 1, HostsPerLeaf: 1, LinkDelay: 10}
+	ls := buildLS(t, c)
 	ls.Net.WatchdogTicks = 10 // == longest delay: still ambiguous
-	err = ls.Net.Start()
+	err := ls.Net.Start()
 	if err == nil || !strings.Contains(err.Error(), "watchdog") {
 		t.Fatalf("Start with watchdog <= link delay: %v, want watchdog error", err)
 	}
@@ -301,10 +282,7 @@ func TestWatchdogBelowLinkDelay(t *testing.T) {
 	// The default watchdog is also checked against extreme delays.
 	c2 := c
 	c2.LinkDelay = defaultWatchdogTicks + 1
-	ls2, _, err := c2.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ls2 := buildLS(t, c2)
 	if err := ls2.Net.Start(); err == nil {
 		t.Fatal("Start accepted a link delay beyond the default watchdog")
 	}
