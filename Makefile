@@ -1,17 +1,6 @@
 GO ?= go
-# bash for pipefail in the bench recipe.
-SHELL := /bin/bash
 
-# BENCH_OUT is the snapshot `make bench` emits; BENCH_BASE the one
-# bench-delta compares it against. Local tools: the committed snapshots
-# stop at PR 10, and the regression gate is BENCHMARK.json (bench-pairs).
-BENCH_OUT ?= BENCH_pr10.json
-BENCH_BASE ?= BENCH_pr9.json
-# MAX_LOSS is bench-regression's threshold: any benchmark present in both
-# snapshots losing more than this percent of throughput fails it.
-MAX_LOSS ?= 10
-
-.PHONY: check fmt vet build test race bench bench-smoke bench-delta bench-regression bench-e2e bench-e2e-smoke bench-pairs fuzz-smoke cover-net staticcheck profile soak soak-smoke fct-smoke
+.PHONY: check fmt vet build test race bench-smoke bench-e2e bench-e2e-smoke bench-pairs fuzz-smoke cover-net staticcheck profile soak soak-smoke fct-smoke
 
 check: fmt vet staticcheck build test race fuzz-smoke soak-smoke fct-smoke cover-net bench-e2e-smoke
 
@@ -42,13 +31,13 @@ test:
 	$(GO) test ./...
 
 # race covers the packages with mutable queue/scheduler/network state,
-# and the compiler back end, whose per-program codelet mappings are shared
-# by every target compiled from one IR (codegen's seven-goroutine test);
-# CI runs this. netsim's determinism tests run here too, so the sharded
-# flow-pinned data path is exercised under the race detector's schedule
-# perturbation.
+# the compiler back end, whose per-program codelet mappings are shared by
+# every target compiled from one IR (codegen's seven-goroutine test), and
+# internal/banzai, the one package that starts goroutines (sharded.go's
+# per-shard workers, driven by its sharded differential tests); CI runs
+# this target.
 race:
-	$(GO) test -race ./internal/synth/... ./internal/codegen/... ./internal/pifo/... ./internal/switchsim/... ./internal/netsim/...
+	$(GO) test -race ./internal/synth/... ./internal/codegen/... ./internal/banzai/... ./internal/pifo/... ./internal/switchsim/... ./internal/netsim/...
 
 # fuzz-smoke replays the checked-in seed corpora (testdata/fuzz/...)
 # through every native fuzz target as ordinary tests — deterministic, so
@@ -72,31 +61,10 @@ cover-net:
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }' \
 		|| { echo "coverage dropped below $(COVER_MIN)%"; exit 1; }
 
-# bench runs the throughput benchmarks (pkts/s and allocs/op per workload
-# and execution path) and snapshots them to $(BENCH_OUT). Three counts per
-# benchmark; benchjson keeps the best sample, so one noisy-low pass on a
-# shared machine doesn't become the committed number. pipefail so a
-# failing benchmark run can't silently overwrite the snapshot.
-bench:
-	set -o pipefail; $(GO) test . -run xxx -bench 'Throughput' -benchtime 1s -count 3 \
-		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
-
-# bench-smoke executes every benchmark once so benchmark code can't bitrot;
-# CI runs this.
+# bench-smoke executes every paper-table benchmark (bench_test.go) once so
+# benchmark code can't bitrot; CI runs this. Packet rates are bench-e2e's.
 bench-smoke:
 	$(GO) test . -run xxx -bench . -benchtime 1x
-
-# bench-delta prints per-benchmark pkts/s ratios between the previous
-# PR's snapshot and the current one (new/old; >1 is faster).
-bench-delta:
-	$(GO) run ./cmd/benchjson -delta $(BENCH_BASE) $(BENCH_OUT)
-
-# bench-regression is bench-delta as a check: exit non-zero if any common
-# benchmark lost more than $(MAX_LOSS)% of its throughput. CI does not run
-# it — over two committed files it can only repeat one answer; use it on
-# snapshots you just recorded.
-bench-regression:
-	$(GO) run ./cmd/benchjson -delta -maxloss $(MAX_LOSS) $(BENCH_BASE) $(BENCH_OUT)
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/): five
 # workloads, the gated end-to-end metrics, ~3 minutes; call bench/run.sh

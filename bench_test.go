@@ -12,9 +12,11 @@ package domino
 //	BenchmarkResourceProvisioning       — §5.2 chip budget
 //	BenchmarkFigure3FlowletPipeline     — Figure 3b (6-stage flowlet pipeline)
 //	BenchmarkFigure9DependencyGraph     — Figure 9 (dep graph + SCC condensation)
-//	BenchmarkMachineThroughput          — simulator packets/sec (compiled pipeline)
-//	BenchmarkInterpreterThroughput      — sequential reference, for comparison
 //	BenchmarkSynthesis                  — codelet→atom mapping per hierarchy level
+//
+// Packet rates are not measured here: the compiled pipeline, the
+// interpreter, the schedulers and the fabrics are timed, with their
+// outputs checked, by the repository benchmark in bench/ (BENCHMARK.json).
 
 import (
 	"fmt"
@@ -26,18 +28,13 @@ import (
 	"domino/internal/banzai"
 	"domino/internal/codegen"
 	"domino/internal/hw"
-	"domino/internal/interp"
 	"domino/internal/netsim"
 	"domino/internal/p4gen"
 	"domino/internal/parser"
 	"domino/internal/passes"
-	"domino/internal/pifo"
 	"domino/internal/pvsm"
 	"domino/internal/sema"
-	"domino/internal/switchsim"
 	"domino/internal/synth"
-	"domino/internal/telemetry"
-	"domino/internal/workload"
 )
 
 func mustFront(b *testing.B, src string) (*sema.Info, *passes.NormResult) {
@@ -258,375 +255,6 @@ void t(struct Packet pkt) {
 	}
 }
 
-// throughputCase wires one catalog algorithm to its trace generators in
-// both packet representations.
-type throughputCase struct {
-	name    string
-	trace   []interp.Packet
-	headers func(l *Layout) []Header
-}
-
-func throughputCases() []throughputCase {
-	return []throughputCase{
-		{
-			name:    "flowlets",
-			trace:   workload.FlowletTrace(1, 100, 4096, 10, 50),
-			headers: func(l *Layout) []Header { return workload.FlowletTraceHeaders(l, 1, 100, 4096, 10, 50) },
-		},
-		{
-			name:  "heavy_hitters",
-			trace: firstOf(workload.HeavyHitterTrace(1, 1000, 4096, 1.2)),
-			headers: func(l *Layout) []Header {
-				hs, _ := workload.HeavyHitterTraceHeaders(l, 1, 1000, 4096, 1.2)
-				return hs
-			},
-		},
-		{
-			name:    "conga",
-			trace:   workload.CongaTrace(1, 16, 64, 4096),
-			headers: func(l *Layout) []Header { return workload.CongaTraceHeaders(l, 1, 16, 64, 4096) },
-		},
-	}
-}
-
-func throughputMachine(b *testing.B, name string) *Machine {
-	b.Helper()
-	src, err := CatalogSource(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := CompileLeast(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := prog.NewMachine()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-// BenchmarkMachineThroughput measures simulated packets per second through
-// the compiled Banzai pipeline for each compiling algorithm, with the
-// map-based slow path and the slot-vector header fast path side by side.
-// The header paths must show 0 allocs/op at steady state; allocs/op is
-// reported so regressions show up in BENCH_*.json snapshots.
-func BenchmarkMachineThroughput(b *testing.B) {
-	for _, tc := range throughputCases() {
-		// Map path: the interp.Packet codec runs per packet.
-		b.Run(tc.name+"/map", func(b *testing.B) {
-			m := throughputMachine(b, tc.name)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Tick(tc.trace[i&4095])
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-		// Header path: slot vectors end to end, one TickH per cycle.
-		// Departing headers rotate back in as later inputs, so the steady
-		// state touches the pool and the codec not at all.
-		b.Run(tc.name+"/header", func(b *testing.B) {
-			m := throughputMachine(b, tc.name)
-			hs := tc.headers(m.Layout())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.TickH(hs[i&4095])
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-		// Batch path: whole-pipeline execution per header, amortized
-		// bookkeeping, batches of 1024.
-		b.Run(tc.name+"/batch", func(b *testing.B) {
-			m := throughputMachine(b, tc.name)
-			hs := tc.headers(m.Layout())
-			const batch = 1024
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := (i & 3) * batch
-				if err := m.ProcessBatch(hs[off : off+batch]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "pkts/s")
-		})
-		// Stage-major batch: all headers through stage s, then s+1 —
-		// bit-identical results, one stage's op program and state hot at
-		// a time.
-		b.Run(tc.name+"/batch_stage", func(b *testing.B) {
-			m := throughputMachine(b, tc.name)
-			hs := tc.headers(m.Layout())
-			const batch = 1024
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := (i & 3) * batch
-				if err := m.ProcessBatchStageMajor(hs[off : off+batch]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
-}
-
-// BenchmarkShardedThroughput measures the RSS-style multi-pipeline
-// simulator: one ShardedMachine with per-shard state, steering by flow key,
-// batches of 4096 fanned out to the shard goroutines.
-func BenchmarkShardedThroughput(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("flowlets/shards=%d", shards), func(b *testing.B) {
-			src, err := CatalogSource("flowlets")
-			if err != nil {
-				b.Fatal(err)
-			}
-			prog, err := CompileLeast(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sm, err := prog.NewSharded(shards, "sport", "dport")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sm.Close()
-			const batch = 4096
-			hs := workload.FlowletTraceHeaders(sm.Layout(), 1, 256, batch, 10, 50)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sm.ProcessBatch(hs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "pkts/s")
-			b.ReportMetric(float64(shards), "shards")
-		})
-	}
-}
-
-func firstOf(tr []interp.Packet, _ map[workload.Flow]int) []interp.Packet { return tr }
-
-// BenchmarkSchedulerThroughput measures the PIFO scheduling subsystem's
-// hot path: compiled rank transaction → PIFO push → PIFO pop, per packet,
-// on the multi-tenant workload. Steady state is a 1:1 enqueue/dequeue
-// cycle over a prefilled queue; allocs/op must stay 0 (the acceptance bar
-// for the scheduler data path), and pkts/s is reported for BENCH_*.json.
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	ingress := func(b *testing.B) *codegen.Program {
-		b.Helper()
-		p, err := codegen.CompileLeastSource(algorithms.SchedIngress)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return p
-	}
-	cases := []struct {
-		name string
-		tree func(b *testing.B) *pifo.Tree
-	}{
-		{"fifo_const_rank", func(b *testing.B) *pifo.Tree {
-			return pifo.Flat(pifo.RankSpec{Source: algorithms.ConstRank})
-		}},
-		{"stfq", func(b *testing.B) *pifo.Tree {
-			return pifo.Flat(mustNamedSpec(b, "stfq_rank"))
-		}},
-		{"strict_priority", func(b *testing.B) *pifo.Tree {
-			return pifo.Flat(mustNamedSpec(b, "strict_priority_rank"))
-		}},
-		{"wrr", func(b *testing.B) *pifo.Tree {
-			return pifo.Flat(mustNamedSpec(b, "wrr_rank"))
-		}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			prog := ingress(b)
-			m, err := banzai.New(prog)
-			if err != nil {
-				b.Fatal(err)
-			}
-			qs, err := tc.tree(b).Build(m.Layout(), 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q := qs[0]
-			tenants := []workload.TenantSpec{
-				{Weight: 1, Flows: 4}, {Weight: 2, Flows: 4}, {Weight: 4, Flows: 4},
-			}
-			hs, _ := workload.MultiTenantTraceHeaders(m.Layout(), 1, tenants, 4096, 4)
-			for i := 0; i < 512; i++ {
-				q.Enqueue(switchsim.QueuedHeader{H: hs[i], Size: 256, Arrived: int64(i), Seq: int64(i)})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.Enqueue(switchsim.QueuedHeader{H: hs[(512+i)&4095], Size: 256, Arrived: int64(i), Seq: int64(i)})
-				if _, ok := q.Dequeue(int64(i)); !ok {
-					b.Fatal("dequeue failed")
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
-}
-
-// BenchmarkSwitchSchedulerThroughput measures the end-to-end switch data
-// path (ingress pipeline → rank transaction → PIFO → drain) with FIFO and
-// STFQ egress schedulers side by side, on the header fast path.
-func BenchmarkSwitchSchedulerThroughput(b *testing.B) {
-	for _, tc := range []struct {
-		name  string
-		sched func(b *testing.B) switchsim.Scheduler
-	}{
-		{"fifo", func(b *testing.B) switchsim.Scheduler { return nil }},
-		{"pifo_stfq", func(b *testing.B) switchsim.Scheduler {
-			return pifo.Flat(mustNamedSpec(b, "stfq_rank"))
-		}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			prog, err := codegen.CompileLeastSource(algorithms.SchedIngress)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sw, err := switchsim.New(prog, switchsim.Config{
-				Ports:               4,
-				ServiceBytesPerTick: 2048,
-				QueueCapBytes:       1 << 24,
-				Scheduler:           tc.sched(b),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tenants := []workload.TenantSpec{
-				{Weight: 1, Flows: 4}, {Weight: 2, Flows: 4}, {Weight: 4, Flows: 4},
-			}
-			hs, _ := workload.MultiTenantTraceHeaders(sw.Machine().Layout(), 1, tenants, 4096, 4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h := sw.Machine().AcquireHeader()
-				copy(h, hs[i&4095])
-				if _, _, err := sw.InjectH(h, 256); err != nil {
-					b.Fatal(err)
-				}
-				if i&7 == 7 {
-					sw.Tick()
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
-}
-
-// BenchmarkNetThroughput measures the multi-switch network data path —
-// host inject → leaf pipeline → core link → spine pipeline → link →
-// leaf → sink — on a 4-leaf/2-spine fabric, one sub-benchmark per
-// routing policy. After warmup (which sizes the header pools and link
-// rings), the hot path performs no allocation: headers travel
-// host→switch→link→switch as pooled slot vectors under the netsim
-// ownership contract and are decoded nowhere.
-func BenchmarkNetThroughput(b *testing.B) {
-	for _, routing := range []string{"ecmp_route", "flowlet_route", "conga_route"} {
-		b.Run(routing, func(b *testing.B) {
-			cfg := netsim.Scenario{Routing: routing, Seed: 1}
-			f, err := cfg.Build()
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := f.Network()
-			if err := n.MapHosts(f.HostIDs()); err != nil {
-				b.Fatal(err)
-			}
-			pkts := cfg.Trace().Packets
-			// Warmup: one full trace replay at the benchmark's pacing grows
-			// every pool and ring to steady state.
-			for i := range pkts {
-				if err := n.InjectNow(&pkts[i]); err != nil {
-					b.Fatal(err)
-				}
-				if i&3 == 3 {
-					mustStep(b, n)
-				}
-			}
-			if err := n.Drain(1 << 20); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := n.InjectNow(&pkts[i%len(pkts)]); err != nil {
-					b.Fatal(err)
-				}
-				if i&3 == 3 {
-					mustStep(b, n)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-			b.StopTimer()
-			if err := n.CheckConservation(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkFatTreeEventThroughput measures the event-driven core (PR 10)
-// end to end: a k=4 fat tree of compiled-pipeline switches drains a
-// heavy-tailed flow-arrival trace per iteration via the calendar queue,
-// jumping over the idle gaps between Poisson bursts. The trace is
-// regenerated with shifted arrivals each replay (the simulated clock
-// never rewinds); pkts/s counts delivered packets and ticks/s the
-// simulated time covered — the figure the idle-skip buys.
-func BenchmarkFatTreeEventThroughput(b *testing.B) {
-	cfg := netsim.Scenario{
-		Routing: "ecmp_route", K: 4, Seed: 1,
-		HeavyTailed: &workload.HeavyTailedConfig{Flows: 64, MeanGapTicks: 200, MaxPkts: 64},
-	}
-	f, err := cfg.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ft := f.(*netsim.FatTree)
-	base := cfg.Trace()
-	var delivered, ticks int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		// Shift every arrival past the current clock: trace ticks are
-		// absolute, and the fabric's time only moves forward.
-		tr := *base
-		tr.Packets = append([]workload.NetPacket(nil), base.Packets...)
-		tr.FlowStart = append([]int64(nil), base.FlowStart...)
-		off := ft.Net.Now() + 1
-		for j := range tr.Packets {
-			tr.Packets[j].Arrival += off
-		}
-		for j := range tr.FlowStart {
-			tr.FlowStart[j] += off
-		}
-		if err := ft.Net.SetTrace(&tr, ft.Hosts); err != nil {
-			b.Fatal(err)
-		}
-		before := ft.Net.Totals().DeliveredPkts
-		start := ft.Net.Now()
-		b.StartTimer()
-		if err := ft.Net.Drain(1 << 22); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		delivered += ft.Net.Totals().DeliveredPkts - before
-		ticks += ft.Net.Now() - start
-		b.StartTimer()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "pkts/s")
-	b.ReportMetric(float64(ticks)/b.Elapsed().Seconds(), "ticks/s")
-	if err := ft.Net.CheckConservation(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkFabricBuild prices building a fabric from programs that are
 // already compiled — what every reliable-chaos schedule and every
 // fat-tree experiment pays before its first tick. Each switch re-runs the
@@ -720,136 +348,6 @@ func BenchmarkFabricBuild(b *testing.B) {
 			report(b, k*half*2+half*half)
 		})
 	}
-}
-
-// BenchmarkTelemetryNetThroughput prices the observability plane (PR 8):
-// the same INT-stamping ECMP fabric with telemetry off (nil sink — every
-// instrument is a nil no-op, the hot path must stay allocation-free) and
-// on (a live registry plus a sampled event ring). The two pkts/s figures
-// bound what full observability costs; the contract is under 5%.
-func BenchmarkTelemetryNetThroughput(b *testing.B) {
-	for _, mode := range []string{"off", "on"} {
-		b.Run(mode, func(b *testing.B) {
-			cfg := netsim.Scenario{Routing: "ecmp_route", Seed: 1, INT: true}
-			if mode == "on" {
-				cfg.Telemetry = telemetry.NewRegistry()
-				cfg.Ring = telemetry.NewRing(4096, 16, 1)
-			}
-			f, err := cfg.Build()
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := f.Network()
-			if err := n.MapHosts(f.HostIDs()); err != nil {
-				b.Fatal(err)
-			}
-			pkts := cfg.Trace().Packets
-			for i := range pkts {
-				if err := n.InjectNow(&pkts[i]); err != nil {
-					b.Fatal(err)
-				}
-				if i&3 == 3 {
-					mustStep(b, n)
-				}
-			}
-			if err := n.Drain(1 << 20); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := n.InjectNow(&pkts[i%len(pkts)]); err != nil {
-					b.Fatal(err)
-				}
-				if i&3 == 3 {
-					mustStep(b, n)
-				}
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-			b.StopTimer()
-			if err := n.CheckConservation(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkReliableNetThroughput measures the reliable-transport data
-// path — timer-wheel pacing, sequence/checksum stamping, ECN-marked
-// pipelines, sink-side dedup and cumulative ACKs riding the feedback
-// reflection — on the healthy 4-leaf/2-spine ECMP fabric. The trace
-// replays in a loop via Transport.Reset; the metric counts exactly-once
-// acceptances. After warmup the whole loop allocates nothing.
-func BenchmarkReliableNetThroughput(b *testing.B) {
-	r, err := netsim.Scenario{
-		Routing: "ecmp_route", Seed: 1, ECN: true,
-		Transport: &netsim.TransportConfig{Seed: 1},
-	}.Start()
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, tp := r.Net, r.Transport
-	// Warmup: one full reliable replay sizes every pool and ring.
-	if err := n.Drain(1 << 20); err != nil {
-		b.Fatal(err)
-	}
-	start := n.Totals().AcceptedPkts
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tp.Done() {
-			if err := tp.Reset(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		mustStep(b, n)
-	}
-	accepted := n.Totals().AcceptedPkts - start
-	b.ReportMetric(float64(accepted)/b.Elapsed().Seconds(), "pkts/s")
-	b.StopTimer()
-	if err := n.CheckConservation(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// mustStep advances the fabric one tick; a wiring or watchdog error fails
-// the benchmark.
-func mustStep(b *testing.B, n *netsim.Network) {
-	b.Helper()
-	if err := n.Step(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func mustNamedSpec(b *testing.B, name string) pifo.RankSpec {
-	b.Helper()
-	spec, err := pifo.NamedSpec(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return spec
-}
-
-// BenchmarkInterpreterThroughput is the sequential reference semantics —
-// the software-router baseline the compiled pipeline is compared against.
-func BenchmarkInterpreterThroughput(b *testing.B) {
-	src, err := CatalogSource("flowlets")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ip, err := NewInterpreter(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := workload.FlowletTrace(1, 100, 4096, 10, 50)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ip.Run(trace[i&4095].Clone()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 }
 
 // BenchmarkP4Generation times the P4 backend (§5.1).

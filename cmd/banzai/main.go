@@ -56,30 +56,52 @@ func main() {
 		fatal(err)
 	}
 
+	// The pipeline is in order, so the k-th departure (from Tick, then from
+	// Drain) is the k-th packet in: compare it with the interpreter's
+	// result for that packet on every declared field.
 	trace := traceFor(*alg, *seed, *n)
-	mismatches := 0
-	var emitted int
+	fields := prog.Fields()
+	var wants []domino.Packet // interpreter results for the packets still in the pipeline
+	mismatches, emitted := 0, 0
+	check := func(out domino.Packet) {
+		want := wants[0]
+		wants = wants[1:]
+		for _, f := range fields {
+			if out[f] != want[f] {
+				if mismatches == 0 {
+					fmt.Fprintf(os.Stderr, "banzai: packet %d field %s = %d, the interpreter says %d\n",
+						emitted, f, out[f], want[f])
+				}
+				mismatches++
+				break
+			}
+		}
+		emitted++
+	}
 	for _, pkt := range trace {
 		want := pkt.Clone()
 		if err := ref.Run(want); err != nil {
 			fatal(err)
 		}
+		wants = append(wants, want)
 		if out, ok := m.Tick(pkt); ok {
-			emitted++
-			_ = out
+			check(out)
 		}
 	}
-	for range m.Drain() {
-		emitted++
+	for _, out := range m.Drain() {
+		check(out)
 	}
 	if emitted != len(trace) {
 		fatal(fmt.Errorf("pipeline emitted %d of %d packets", emitted, len(trace)))
 	}
+	fmt.Printf("ran %d packets in %d cycles (one packet per clock + drain); %d mismatches\n",
+		len(trace), m.Cycles(), mismatches)
+	if mismatches > 0 {
+		fatal(fmt.Errorf("%d of %d departing packets differ from the sequential reference", mismatches, len(trace)))
+	}
 	if !ref.State().Equal(m.State()) {
 		fatal(fmt.Errorf("pipeline state diverged from the sequential reference"))
 	}
-	fmt.Printf("ran %d packets in %d cycles (one packet per clock + drain); %d mismatches\n",
-		len(trace), m.Cycles(), mismatches)
 	fmt.Println("pipeline state ≡ serial transaction execution ✓")
 }
 

@@ -7,7 +7,7 @@
 //	paper-eval                 # everything
 //	paper-eval -table 4        # one table (3, 4, 5, 6, compile-time, resources)
 //	paper-eval -figure 3       # one figure (3, passes, 9)
-//	paper-eval -throughput     # simulator data-path throughput comparison
+//	paper-eval -throughput     # bare-machine rates: map Tick, header TickH, ProcessBatch
 //	paper-eval -sched          # PIFO scheduling: weighted shares + port stats
 //	paper-eval -opt            # build-time optimizer report per algorithm
 //	paper-eval -net            # leaf-spine ECMP vs flowlet vs CONGA load balance
@@ -27,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"time"
 
@@ -61,7 +60,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("paper-eval", flag.ContinueOnError)
 	table := fs.String("table", "", "table to regenerate: 3, 4, 5, 6, compile-time, resources")
 	figure := fs.String("figure", "", "figure to regenerate: 3, passes, 9")
-	tput := fs.Bool("throughput", false, "measure simulator data-path throughput (map vs header vs sharded)")
+	tput := fs.Bool("throughput", false, "measure simulator data-path throughput (map vs header vs batched)")
 	schedFlag := fs.Bool("sched", false, "run the PIFO egress schedulers over the multi-tenant trace")
 	optFlag := fs.Bool("opt", false, "report what the build-time optimizer does to each algorithm")
 	netFlag := fs.Bool("net", false, "run the leaf-spine routing experiment (ECMP vs flowlet vs CONGA)")
@@ -300,12 +299,12 @@ func figurePasses() {
 }
 
 // throughput measures the simulator's data-path rates on flowlet
-// switching: the map-based wrapper, the slot-vector header fast path, the
-// batched path, and the sharded multi-pipeline (paper §2's one packet per
-// clock, here in software packets per wall-second). Sharded speedup needs
-// >1 CPU; on a single core it only demonstrates dispatch overhead.
+// switching: the map-based wrapper, the slot-vector header fast path and
+// the batched path (paper §2's one packet per clock, here in software
+// packets per wall-second). It is the -pprof target for the bare machine;
+// the checked, gated numbers are bench/'s catalog workload.
 func throughput() {
-	fmt.Printf("== Simulator throughput (flowlet switching, GOMAXPROCS=%d) ==\n", runtime.GOMAXPROCS(0))
+	fmt.Println("== Simulator throughput (flowlet switching) ==")
 	a, _ := algorithms.ByName("flowlets")
 	info, norm := build(a)
 	p, ok, err := codegen.LeastTarget(info, norm.IR)
@@ -351,35 +350,6 @@ func throughput() {
 		}
 	}
 	fmt.Printf("%-28s %s\n", "header ProcessBatch", rate(n, time.Since(start)))
-
-	m4, err := banzai.New(p)
-	if err != nil {
-		fatal(err)
-	}
-	hs4 := workload.FlowletTraceHeaders(m4.Layout(), 1, 256, 4096, 10, 50)
-	start = time.Now()
-	for i := 0; i < n/4096; i++ {
-		if err := m4.ProcessBatchStageMajor(hs4); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Printf("%-28s %s\n", "header batch (stage-major)", rate(n, time.Since(start)))
-
-	for _, shards := range []int{2, 4} {
-		sm, err := banzai.NewSharded(p, shards, "sport", "dport")
-		if err != nil {
-			fatal(err)
-		}
-		hss := workload.FlowletTraceHeaders(sm.Layout(), 1, 256, 4096, 10, 50)
-		start = time.Now()
-		for i := 0; i < n/4096; i++ {
-			if err := sm.ProcessBatch(hss); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("%-28s %s\n", fmt.Sprintf("sharded ×%d ProcessBatch", shards), rate(n, time.Since(start)))
-		sm.Close()
-	}
 	fmt.Println()
 }
 

@@ -146,22 +146,12 @@ func (p *Program) NewMachine() (*Machine, error) {
 	return &Machine{m: m}, nil
 }
 
-// NewSharded instantiates the pipeline n times, each shard with its own
-// state on its own goroutine, with RSS-style steering by the named key
-// fields (see banzai.ShardedMachine for the state-consistency contract).
-func (p *Program) NewSharded(n int, keyFields ...string) (*ShardedMachine, error) {
-	return banzai.NewSharded(p.inner, n, keyFields...)
-}
-
 // Header is the allocation-free slot-vector packet representation the
 // compiled data path runs on; Layout maps field names to its slots.
 type Header = banzai.Header
 
 // Layout maps packet field names to Header slots for one compiled program.
 type Layout = banzai.Layout
-
-// ShardedMachine is a pipeline replicated across shards with flow steering.
-type ShardedMachine = banzai.ShardedMachine
 
 // Machine is an instantiated Banzai pipeline executing a compiled program,
 // one packet per clock cycle.
@@ -198,13 +188,6 @@ func (m *Machine) ProcessH(h Header) error { return m.m.ProcessH(h) }
 // ProcessBatch runs a batch of headers through the pipeline back-to-back,
 // each mutated in place.
 func (m *Machine) ProcessBatch(hs []Header) error { return m.m.ProcessBatch(hs) }
-
-// ProcessBatchStageMajor is ProcessBatch in stage-major order (all headers
-// through stage s, then s+1) — bit-identical results, better state and
-// instruction locality for large batches.
-func (m *Machine) ProcessBatchStageMajor(hs []Header) error {
-	return m.m.ProcessBatchStageMajor(hs)
-}
 
 // TickH is the header-path Tick: ownership of in passes to the machine and
 // ownership of the departing header passes to the caller.

@@ -21,6 +21,33 @@
 // op program (see exec.go), so the per-packet path makes no dispatch
 // decisions at all — no op-kind switch, no operator switch, no const/slot
 // branches, no intrinsic name lookups.
+//
+// Contracts, each with the tests that enforce it (exec.go, opt.go and
+// sharded.go state theirs where the code is):
+//
+//   - One semantics, every path: the interpreter, Process, ProcessH,
+//     ProcessBatch, ProcessBatchStageMajor, the unoptimized machine
+//     (Options.DisableOptimizer) and a 4-shard ShardedMachine agree bit
+//     for bit on outputs and final state (TestDifferentialExecutionPaths,
+//     TestTransactionSemantics, TestFuzzCompilerEquivalence); the map
+//     wrappers equal the header path (TestTickHMatchesTick,
+//     TestProcessMatchesTick).
+//   - Pooling: each Machine owns a single-caller free list. AcquireHeader
+//     hands out a zeroed header; TickH takes ownership of its input and
+//     hands the departing header to its caller, who releases it; ProcessH
+//     and both ProcessBatch orders mutate caller-owned headers and take no
+//     ownership. Only pool- or NewHeader-allocated headers go back into a
+//     pool — a header carved from a trace slab stays with its trace (see
+//     ReleaseHeader). A header is valid only for the Layout it was sized
+//     by (TestHeaderPoolReuse, TestLiveHeaders; TestHeaderPathsZeroAlloc
+//     holds TickH, ProcessH and ProcessBatch to 0 allocations).
+//   - Control plane: nothing is looked up by name per step. StateRef
+//     resolves a state variable to its cell once; ResetState and
+//     ScrambleState mutate cells in place, so a handle lives as long as
+//     its machine; PokeState/PeekState are the by-name wrappers over the
+//     same code (TestStateRef, TestPokePeekState,
+//     TestResetStateRestoresDeclaredInits,
+//     TestScrambleStateDeterministicAndSurvivable).
 package banzai
 
 import (

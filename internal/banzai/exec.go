@@ -32,6 +32,19 @@ import (
 // same-stage read-after-write would be a dependency edge, which the
 // scheduler resolves by stage separation — or an SCC, which lands both ops
 // in one atom); the pre-fusion executor already ran them back-to-back.
+//
+// Operator semantics have one source: interp.BinFunc's table, which the
+// interpreter, the guards, the optimizer's folder and these closures all
+// capture, so every path agrees bit for bit
+// (TestBinClosureMatchesEvalBinary sweeps every operator, operand shape
+// and edge value). Division by a constant that is not a power of two uses
+// a multiply-shift reciprocal (TestMagicDivMod); on lookup-table targets
+// it goes through intrinsics.LUTDiv instead (TestBinClosureLUTDivision,
+// TestCoDelLUTBehaviour, TestLUTSqrtInPipeline). Index wrapping is pinned
+// by TestStateArrayIndexWrap and TestConstIndexStateClosures — it is also
+// what lets a scrambled state array misroute but never crash. Same-cell
+// read-op-write triples fuse into one superinstruction (fuseRMW); like
+// stage fusion, that is covered by TestDifferentialExecutionPaths.
 
 // execOp is one specialized micro-operation of the threaded-code engine: a
 // closure over pre-resolved slots, immediates, state cells and function

@@ -48,7 +48,14 @@ package banzai
 // The invariant, enforced by the opt_test.go property tests and the
 // differential suite: optimization never changes observable outputs
 // (Layout.Output over the retained output fields), final state, or —
-// through the pifo rank engines — ranks and departure order.
+// through the pifo rank engines — ranks and departure order
+// (TestOptimizerDifferentialFuzz, FuzzOptimizerDifferential and
+// TestOptimizerDifferentialCorpus against the interpreter;
+// TestDifferentialExecutionPaths against the DisableOptimizer machine;
+// pifo's TestSchedulerOptimizerDifferential for departure order). Pipeline
+// depth never changes (TestOptimizerPreservesDepth). WrittenSlots and
+// MustZeroSlots — what a scratch-header reuser must clear, empty for SSA
+// programs — are pinned by TestOptimizerSlotAnalysis.
 
 import (
 	"fmt"

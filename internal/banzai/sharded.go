@@ -20,7 +20,11 @@ import (
 // (a global counter, a shared sketch) is split n ways; AggregateState sums
 // the per-shard deltas, which is exact for additive state (counters,
 // byte/packet tallies) and meaningless for last-writer state (use
-// Shard(i).State() for those).
+// Shard(i).State() for those). TestDifferentialExecutionPaths (one pinned
+// flow ≡ serial), TestShardedAggregateState and netsim's
+// TestShardedFlowPinnedDeterminism enforce this; shard workers run
+// ProcessBatchStageMajor. The only remaining callers are those tests and
+// bench/catalog.go's banzai.sharded2.ratio.
 type ShardedMachine struct {
 	shards  []*Machine
 	layout  *Layout

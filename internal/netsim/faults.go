@@ -15,6 +15,40 @@ package netsim
 //
 // stays byte-exact under any schedule — the chaos oracle FuzzNetFaults
 // enforces across random schedules on random topologies.
+//
+// What the kind comments below do not say, with the enforcing tests:
+//
+//   - Timing: SetFaults validates and stable-sorts a schedule before the
+//     first tick; events fire at tick boundaries, after now advances and
+//     before links deliver (TestSetFaultsValidation, TestGrayFaultValidation,
+//     TestFaultKindsComplete). ClearFaults plus a bounded drain is the
+//     termination oracle (TestClearFaults).
+//   - Visibility: a fault reaches a program only as a state poke —
+//     port_up[port] = 0|1 at down/up boundaries. flowlet_route and
+//     conga_route detour on a one-read liveness check (single-failure
+//     tolerance); ecmp_route and spine_route stay failure-blind. Rerouting
+//     is the transaction's decision, never the simulator's
+//     (TestFaultRecoveryByRouting, TestFeedbackFaultRobustness).
+//   - Per-kind semantics: TestLinkDownBlackholesInFlight,
+//     TestLinkDownKeepsRunningInFlight, TestDegradeMidFlight,
+//     TestDegradeToZeroStalls, TestCorruptionGuard (a guard rejection is
+//     CorruptDropped, never a panic), TestSwitchStallAndCrash,
+//     TestLinkReorderShufflesDeterministically, TestLinkDuplicateByteExact
+//     (a wire duplicate bypasses inject(), so the transport's injection
+//     split is untouched, and is pushed straight onto the link, so
+//     duplication never cascades), TestLinkFlapStorm (a storm always ends
+//     up).
+//   - Restart: flushed packets are the switch's own port drops, so neither
+//     identity gains a term. After the wipe the harness re-pokes exactly
+//     what a controller re-syncs — switch_id, and port_up[p] to the link's
+//     actual health (not down, capacity > 0), not the declared init;
+//     queue_depth republishes on the next step. Scrambled state may
+//     misroute and must never wedge (TestSwitchRestartWipesSoftState,
+//     TestSwitchRestartScrambleCannotWedge, TestCongaRebalancesAfterRestart
+//     bounds the post-restart imbalance drift).
+//   - Per-link corruption, reorder and duplication draw from one seeded
+//     RNG stream in tick order, so every schedule replays byte-identically
+//     (TestFaultRunDeterminism).
 
 import (
 	"fmt"

@@ -30,6 +30,58 @@
 // and stamps max(so-far, local) into the packet's util field, so a
 // delivered packet carries the maximum utilization along its path —
 // which sink hosts can reflect to the sender as feedback packets.
+//
+// Contracts, each with the tests that enforce it. The layers above the
+// raw fabric state theirs in their file headers: faults.go (fault model,
+// degradation, restarts), transport.go (reliable delivery), obs.go
+// (telemetry wiring, snapshots), soak.go (the composition oracle),
+// fattree.go and leafspine.go (topologies and port maps).
+//
+//   - Routing is program, not simulator: forwarding follows the
+//     out_port field the pipeline wrote, reduced modulo the port count.
+//     Hosts stamp sport/dport/arrival/src/dst/size_bytes/flow, feedback
+//     uses fb/fb_path/fb_util, links stamp util; a switch-to-switch bridge
+//     copies declared fields only, so a field every hop must see has to be
+//     declared on every hop, spines included (TestLeafSpineBalance,
+//     TestCrossProgramBridge, TestLeafSpineShape, TestFatTreeTopology).
+//   - The ownership rules above: TestNetHotPathZeroAlloc, and LiveHeaders
+//     == queued + in-flight at tick boundaries, 0 after a drain
+//     (TestConservationEveryTick, TestConservationWithFeedback,
+//     FuzzNetTopology, which also checks no duplication on random DAGs).
+//   - Conservation: CheckConservation holds byte-exact at every tick
+//     boundary — the physical identity, and with a transport its three
+//     splits — and audits the step loop's running totals and service set
+//     against Totals(), the from-scratch sum that is never optimised. Every
+//     scenario test, fuzz target and per-tick soak check calls it.
+//   - Determinism: a fixed seed replays byte-identically, also under -race
+//     (TestNetsimDeterminism, TestFaultRunDeterminism,
+//     TestReliableDeterminism, TestSnapshotDeterministic,
+//     TestShardedFlowPinnedDeterminism).
+//   - Event core: Run/Drain jump to nextEventTick; every wakeup source —
+//     link wheel, transport timers, trace arrivals, faults, switches — may
+//     answer early and never late. Time-decayed state (DRE) is a pure
+//     function of elapsed ticks; switch clocks are fabric time minus
+//     freeze lag, synced lazily; wedged states force now+1 so the watchdog
+//     trips at the polled core's tick. Step() is the polled twin, and the
+//     two must agree on delivery digest, Totals, transport totals, FCTs,
+//     final tick and conservation for every scenario class
+//     (TestEventCoreDifferentialHealthy, …Observability, …Faults,
+//     …Transport, …FatTree, TestEventCoreSkipsIdleTime). Because Step and
+//     Drain share step(), active_test.go pins clock stamps, service-set
+//     membership and depth republication by hand
+//     (TestSwitchClockAfterSkippedTime, TestStalledIdleSwitchStampsFreezeTime,
+//     TestRestartLeavesServiceSet, TestRestartWhileFrozenWaitsForItsPass,
+//     TestScrambledIdleSwitchRepublishesDepths, TestStepCostFollowsActiveSwitches,
+//     TestGhostWakeupsCounted).
+//   - Control-plane state goes through handles: AddSwitch resolves
+//     queue_depth, port_up and switch_id to banzai.StateRefs once; nothing
+//     outside tests names a state variable after construction
+//     (TestRestartRepokesStateThroughHandles).
+//   - Bad wiring, schedules and configs are errors, not panics, and a
+//     wedged fabric is a watchdog error naming the tick, per-node depths
+//     and in-flight count (TestNetworkWiringErrors, TestFatTreeRejectsBadConfig,
+//     TestWatchdogTripsOnWedgedNetwork, TestFatTreeWatchdogTripsOnWedge,
+//     TestWatchdogBelowLinkDelay).
 package netsim
 
 import (

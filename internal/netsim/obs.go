@@ -5,6 +5,22 @@ package netsim
 // Snapshot exports everything a run produced — conservation totals,
 // instrument values, per-path INT delivery counts, sampled events — as
 // one deterministic, JSON-marshalable structure.
+//
+// Both sides keep the paper's division of labor. In the data plane the
+// int_stamp block (algorithms.INTStampSource, embedded by RouteParams.INT
+// like ecn_mark) makes each packet its own probe: per hop it bumps hops,
+// folds the egress depth into qmax and qdelay, and folds the switch
+// identity into path_digest = path_digest*31 + switch_id. The harness
+// feeds it switch_id once at AddSwitch and queue_depth through
+// publishQueueDepths; ECN and INT read the same pkt.qd, so the two
+// signals cannot drift. Sinks decode Delivery.Hops/Digest, PathCounts and
+// the leaf-spine's NamedPathCounts (TestINTDeliveryMatchesTopology,
+// TestEcnMarkTally). In the control plane every instrument is resolved
+// once, to a possibly-nil pointer, so SetTelemetry must precede AddSwitch
+// and a run with no sink allocates nothing (TestNetHotPathZeroAlloc;
+// telemetry's TestHotPathAllocs). Snapshot is byte-deterministic for a
+// fixed seed (TestSnapshotDeterministic); what switching telemetry on
+// costs end to end is BENCHMARK.json's telemetry.on_ratio.
 
 import (
 	"encoding/json"

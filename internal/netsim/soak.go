@@ -19,7 +19,10 @@ package netsim
 //
 // The soak is the repo's standing answer to "does the gray-failure model
 // compose?": any single fault kind is unit-tested elsewhere; here they
-// collide on the same links in random order.
+// collide on the same links in random order. TestChaosSoakSmoke pins the
+// CI slice's aggregate field for field (make soak-smoke; make soak runs
+// paper-eval -soak 1000), and TestSoakCoverageComplains proves Coverage
+// reports a fault kind that never fired.
 
 import (
 	"fmt"

@@ -24,7 +24,43 @@ package netsim
 // byte-identical regardless of event interleaving. The hot path (wheel
 // service, send, ack, dedup) is allocation-free in steady state: flat
 // arrays indexed by flow and by global packet index, and a bitset for
-// receiver-side dedup.
+// receiver-side dedup (TestReliableHotPathZeroAlloc, TestReliableDeterminism).
+//
+// The rest of the contract, with the enforcing tests:
+//
+//   - Wiring: EnableTransport runs after SetTrace and before the first
+//     tick; Start rejects a watchdog no longer than the longest link delay
+//     (TestTransportValidation, TestWatchdogBelowLinkDelay).
+//   - Fields: data carries seq (the packet's index in its flow's arrival
+//     order) and csum (xor over sport/dport/src/dst/flow/seq/fb/fb_ack/
+//     fb_ecn plus a salt — fields no program writes, so it survives any
+//     pipeline; the program-written INT fields are not in it). An ACK is
+//     the reflected fb=1 packet: it echoes seq (selective ack), fb_ack is
+//     the receiver's cumulative frontier, fb_ecn the data packet's ecn
+//     bit. Every host-facing program must declare all of them.
+//   - Ownership: the transport retains no header; every (re)send acquires
+//     a fresh one from the source leaf's pool, so the link rules of the
+//     package comment are untouched.
+//   - Sender: unsent → outstanding → acked | given-up (sticky). Backoff is
+//     min(RTO<<r, RTOMax) plus jitter; the gap doubles on timeout or ECN
+//     echo at most once per RTO and shrinks by 1 per 8 clean ACKs
+//     (TestReliableECNBackoff); an exhausted retry budget is a counted
+//     GivenUp, never silence (TestReliableGivesUpLoudly). Fast retransmit
+//     resends the base packet on FastRetransmit duplicate cumulative ACKs
+//     that carry selective-ack evidence of a gap, so a reorder window
+//     shorter than that cannot trigger it (TestRunGrayFailure,
+//     TestMeanAckTicksAccounting).
+//   - Sink admission, in order: flow range, csum, seq range, and the
+//     flow's declared endpoint must be this host (misdelivery a checksum
+//     cannot see). Failures count CorruptDropped, duplicates DupDropped —
+//     and are still re-ACKed, which is how a lost ACK recovers
+//     (TestReliableExactlyOnceUnderFaults, FuzzReliableTransport).
+//   - Three more identities join the physical one in CheckConservation,
+//     all byte-exact: delivered = accepted + dup-dropped + fb-delivered,
+//     injected = offered + retransmits + fb-injected, offered = acked +
+//     given-up + outstanding (TestReliableHealthyDelivery and every test
+//     above). Done is per epoch: Reset re-arms a finished transport for a
+//     replay loop while cumulative totals keep growing.
 
 import (
 	"fmt"

@@ -12,6 +12,28 @@
 // inherits the line-rate, all-or-nothing guarantee of the ingress
 // pipeline — a scheduling policy either maps to an atom pipeline or is
 // rejected at build time.
+//
+// Contracts, each with the tests that enforce it:
+//
+//   - A Block pops in non-decreasing rank order with FIFO tie-break and
+//     allocates nothing once grown (TestBlockMatchesReference,
+//     TestBlockPopOrderNonDecreasing, TestBlockZeroAlloc); with a constant
+//     rank a PIFO is exactly switchsim's FIFO (TestConstRankPIFOEqualsFIFO).
+//   - Ownership: queued headers belong to the switch, which releases them
+//     to the ingress machine's pool on departure or drop; a rank engine
+//     copies into its one scratch header and never takes ownership, so
+//     enqueue → rank → push → pop is 0 allocs/op
+//     (TestRankEngineBridgePrecomputed, TestPIFOHotPathZeroAlloc). Per-port
+//     schedulers are single-caller, each with private rank state.
+//   - The build-time optimizer never changes a rank, hence never a
+//     departure order (TestSchedulerOptimizerDifferential).
+//   - Policies enforce what they claim (TestSTFQWeightedShares,
+//     TestStrictPriority, TestWRRInterleaves, TestTokenBucketShaping,
+//     TestHierarchicalSTFQ).
+//   - Event driving: a tree whose visible heads are all shaped reports the
+//     calendar's earliest send tick from NextEventTick without mutating
+//     anything; answering early is allowed, late never
+//     (TestShapedNextEventTickSkips, TestShapedEventDriverMatchesPolled).
 package pifo
 
 import "domino/internal/banzai"

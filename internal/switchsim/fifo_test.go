@@ -7,8 +7,10 @@ import (
 
 	"domino/internal/algorithms"
 	"domino/internal/banzai"
+	"domino/internal/codegen"
 	"domino/internal/interp"
 	"domino/internal/telemetry"
+	"domino/internal/workload"
 )
 
 // ringsBehindInterface is a custom Scheduler that builds the default
@@ -193,4 +195,49 @@ func TestFIFOFastPathEqualsInterfacePath(t *testing.T) {
 	if fast.ring.Len() == 0 || uint64(fast.ring.Len()) != fast.ring.Seen() {
 		t.Errorf("trace ring holds %d of %d records; the comparison needs all of them", fast.ring.Len(), fast.ring.Seen())
 	}
+}
+
+// TestFIFOSwitchZeroAlloc pins the standalone switch's allocation
+// contract on the default FIFO rings: once the header pool and the rings
+// are warm, injecting pooled headers and serving them through TickFunc
+// (the emit callback hands each header back to the pool) allocates
+// nothing.
+func TestFIFOSwitchZeroAlloc(t *testing.T) {
+	prog, err := codegen.CompileLeastSource(algorithms.SchedIngress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := New(prog, Config{Ports: 4, ServiceBytesPerTick: 2048, QueueCapBytes: 1 << 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sw.Machine()
+	tenants := []workload.TenantSpec{{Weight: 1, Flows: 4}, {Weight: 2, Flows: 4}, {Weight: 4, Flows: 4}}
+	hs, _ := workload.MultiTenantTraceHeaders(m.Layout(), 1, tenants, 4096, 4)
+	i, departed := 0, 0
+	release := func(_ int, qh QueuedHeader) {
+		m.ReleaseHeader(qh.H)
+		departed++
+	}
+	step := func() {
+		for k := 0; k < 2; k++ {
+			h := m.AcquireHeader()
+			copy(h, hs[i&4095])
+			i++
+			if _, _, err := sw.InjectH(h, 256); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sw.TickFunc(release)
+	}
+	for k := 0; k < 64; k++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(4096, step); n != 0 {
+		t.Errorf("InjectH ×2 + TickFunc: %.1f allocs per tick, want 0", n)
+	}
+	if departed == 0 {
+		t.Fatal("nothing departed: the service loop was not exercised")
+	}
+	mustConserve(t, sw)
 }

@@ -15,6 +15,38 @@
 // default is a FIFO ring with tail drop, and internal/pifo provides PIFO
 // scheduling trees whose ranks are computed by compiled Domino
 // transactions (the "Programmable Packet Scheduling" companion model).
+//
+// Contracts, each with the tests that enforce it:
+//
+//   - Conservation: injected = departed + dropped + queued, in packets and
+//     bytes, at every tick boundary; a flush counts its packets as the
+//     port's own drops, so a restart adds no term (conservation.go; the tests
+//     here assert it through mustConserve). Sizes outside [0, 2^31) are
+//     rejected at injection, before they enter the identity
+//     (TestInjectRejectsOutOfRangeSize, TestAdmissionByteCapBoundary).
+//   - Ownership: InjectH takes the header; it goes back to the machine's
+//     pool on departure, drop or flush unless an emit callback takes it
+//     over. Inject is InjectH behind the codec
+//     (TestInjectInjectHEquivalence), and the steady state allocates
+//     nothing (TestFIFOSwitchZeroAlloc).
+//   - One service loop, chosen once: New observes Config.Scheduler == nil
+//     and binds the default rings by concrete type — no Config field, flag
+//     or environment variable selects it; a custom scheduler keeps the
+//     PortScheduler interface loop. The two share the port prologue and
+//     the departure accounting and must be indistinguishable
+//     (TestFIFOFastPathEqualsInterfacePath; pifo's
+//     TestConstRankPIFOEqualsFIFO across schedulers).
+//   - Service: fits-or-waits per tick, store-and-forward credit only for a
+//     head larger than one tick's budget, per-port rates, a downed port
+//     skipped with budget and credit untouched (TestServiceRate,
+//     TestOversizedPacketStoreAndForward, TestPerPortServiceRates,
+//     TestPortLiveness). The route field is reduced modulo the port count,
+//     negatives corrected into range — which is why scrambled state can
+//     misroute but not crash (TestMultiPortFanOut).
+//   - Event driving: NextEventTick may answer early, never late; a FIFO
+//     switch answers now+1 when it holds anything, else −1; AdvanceTo
+//     never rewinds the clock (TestNextEventTickFIFO,
+//     TestAdvanceToNeverRewinds).
 package switchsim
 
 import (

@@ -16,6 +16,16 @@
 //     there is no locking.
 //   - A Registry owns the instruments for one run and snapshots them in
 //     deterministic (sorted-name) order, JSON-marshalable.
+//
+// The tests that hold these: TestHotPathAllocs and TestNilRing (nil and
+// live instruments, 0 allocations), TestBucketBoundaries and
+// TestObserveMatchesBucketOf (bucket = bits.Len64), TestMergeAssociativity
+// (Merge is exact integer addition, associative and commutative),
+// TestRegistryIdentity and TestRegistrySnapshotDeterministic,
+// TestRingSamplingDeterministic and TestRingWrapAndExport (sampling is a
+// function of seed and event ordinal, never of buffer state). Name
+// prefixes by owner: sw.<name>.* switchsim, net.*, int.* and sim.* netsim,
+// tp.* the transport, pifo.* a Tree with Telemetry set.
 package telemetry
 
 import (
